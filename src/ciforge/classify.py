@@ -8,6 +8,14 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   row permutations;
 * ties in gain break toward the lowest feature index, then the lowest
   threshold, making every fit bit-deterministic;
+* rows are argsorted once per feature.  Each node carries a (features,
+  rows) array of its rows in every feature's sorted order, and a split
+  hands each child a stable partition of it, so no node rescans rows it
+  does not own.  A node scores all features at once with row-wise cumsums.
+  The fit is bit-identical to scanning one feature at a time: a row-wise
+  cumsum adds in the same sequence as a 1-D one, node sums run over rows in
+  ascending order, and the first maximum along and then across the rows
+  keeps both tie-breaks;
 * the round played on the validation set with the lowest logistic loss
   becomes ``best_round``; prediction uses only that prefix of trees;
 * if a round would increase the training loss, its leaf values are halved
@@ -28,7 +36,7 @@ import numpy as np
 
 from .core import Column, Dataset, LabeledDataset
 from .errors import EmptyTest, SchemaMismatch, SingleClass
-from .nn import Mlp, MlpConfig, mlp_train
+from .nn import Mlp, MlpConfig, _sigmoid, mlp_train
 
 ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
@@ -145,111 +153,131 @@ class Tree:
         return walk(0)
 
     def predict(self, f: np.ndarray) -> np.ndarray:
-        out = np.empty(f.shape[0])
-        stack = [(0, np.arange(f.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = f[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        # Every row steps down one level per pass; leaves route to
+        # themselves, so rows that reach one early stay there.
+        leaf = self.feature < 0
+        ids = np.arange(self.feature.size)
+        feature = np.where(leaf, 0, self.feature)
+        left = np.where(leaf, ids, self.left)
+        right = np.where(leaf, ids, self.right)
+        flat = f.ravel()
+        row_start = np.arange(f.shape[0]) * f.shape[1]
+        node = np.zeros(f.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            go_left = flat[row_start + feature[node]] <= self.threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        return self.value[node]
 
     def scale_values(self, factor: float) -> None:
         self.value = self.value * factor
 
 
 class _TreeBuilder:
+    """Exact greedy split search over node-partitioned presorted indices."""
+
     def __init__(self, f: np.ndarray, cfg: GbtConfig):
-        self.f = f
         self.cfg = cfg
-        # Pre-sorted row order per feature, shared across all nodes and rounds.
-        self.order = [np.argsort(f[:, j], kind="stable") for j in range(f.shape[1])]
+        self.f_t = np.ascontiguousarray(f.T)
+        # Row order per feature, sorted once and shared across all rounds.
+        self.order = np.argsort(self.f_t, axis=1, kind="stable")
+        # Add to a row id to find it in f_t.ravel() under each feature.
+        self.offsets = (np.arange(f.shape[1]) * f.shape[0])[:, None]
 
-    def build(self, g: np.ndarray, h: np.ndarray) -> Tree:
+    def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
+        """Grow one tree; also return the leaf value of every training row."""
+        cfg = self.cfg
+        d = self.f_t.shape[0]
         feature, threshold, left, right, value = [], [], [], [], []
+        row_values = np.empty(self.f_t.shape[1])
 
-        def leaf(g_sum: float, h_sum: float) -> int:
-            node = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(-g_sum / (h_sum + self.cfg.l2) * self.cfg.learning_rate)
-            return node
-
-        def grow(mask: np.ndarray, depth: int) -> int:
-            g_sum = float(g[mask].sum())
-            h_sum = float(h[mask].sum())
-            if depth >= self.cfg.max_depth:
-                return leaf(g_sum, h_sum)
-            split = self._best_split(mask, g, h, g_sum, h_sum)
-            if split is None:
-                return leaf(g_sum, h_sum)
-            j, thr = split
-            node = len(feature)
+        def add_node(j: int, thr: float, v: float) -> int:
             feature.append(j)
             threshold.append(thr)
             left.append(-1)
             right.append(-1)
-            value.append(0.0)
-            go_left = mask & (self.f[:, j] <= thr)
-            left[node] = grow(go_left, depth + 1)
-            right[node] = grow(mask & ~go_left, depth + 1)
+            value.append(v)
+            return len(feature) - 1
+
+        def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+            # rows stay ascending, so a node sum adds its operands in row order.
+            g_sum = float(g[rows].sum())
+            h_sum = float(h[rows].sum())
+            split = None if depth >= cfg.max_depth else self._best_split(order, g, h, g_sum, h_sum)
+            if split is None:
+                v = -g_sum / (h_sum + cfg.l2) * cfg.learning_rate
+                row_values[rows] = v
+                return add_node(-1, 0.0, v)
+            j, thr = split
+            node = add_node(j, thr, 0.0)
+            go_left = self.f_t[j] <= thr
+            # A stable partition keeps each feature's sorted order, and every
+            # order row holds the same node rows, so each child is rectangular.
+            # (np.compress is much faster than boolean indexing here.)
+            rows_left = go_left[rows]
+            order_left = go_left[order].ravel()
+            n_left = int(np.count_nonzero(rows_left))
+            left[node] = grow(
+                np.compress(rows_left, rows), np.compress(order_left, order).reshape(d, n_left), depth + 1
+            )
+            right[node] = grow(
+                np.compress(~rows_left, rows), np.compress(~order_left, order).reshape(d, -1), depth + 1
+            )
             return node
 
-        grow(np.ones(self.f.shape[0], dtype=bool), 0)
-        return Tree(
+        grow(np.arange(self.f_t.shape[1]), self.order, 0)
+        tree = Tree(
             np.asarray(feature, dtype=np.int32),
             np.asarray(threshold),
             np.asarray(left, dtype=np.int32),
             np.asarray(right, dtype=np.int32),
             np.asarray(value),
         )
+        return tree, row_values
 
-    def _best_split(self, mask, g, h, g_sum, h_sum):
+    def _best_split(self, order, g, h, g_sum, h_sum):
+        """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
         cfg = self.cfg
-        parent = g_sum * g_sum / (h_sum + cfg.l2)
-        best_gain = _GAIN_EPS
-        best = None
-        for j in range(self.f.shape[1]):
-            idx = self.order[j][mask[self.order[j]]]
-            if idx.size < 2:
-                continue
-            v = self.f[idx, j]
-            cg = np.cumsum(g[idx])
-            ch = np.cumsum(h[idx])
-            cut = np.nonzero(v[:-1] != v[1:])[0]  # boundaries between distinct values
-            if cut.size == 0:
-                continue
-            gl, hl = cg[cut], ch[cut]
-            gr, hr = g_sum - gl, h_sum - hl
-            ok = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
-            if not ok.any():
-                continue
-            gain = np.where(
-                ok, gl * gl / (hl + cfg.l2) + gr * gr / (hr + cfg.l2) - parent, -np.inf
-            )
-            k = int(np.argmax(gain))  # first max: lowest threshold wins ties
-            if gain[k] > best_gain:  # strict: lowest feature index wins ties
-                lo, hi = v[cut[k]], v[cut[k] + 1]
-                thr = 0.5 * (lo + hi)
-                if thr >= hi:  # midpoint rounded up to the right value
-                    thr = lo
-                best_gain = float(gain[k])
-                best = (j, float(thr))
-        return best
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+        if order.shape[1] < 2:
+            return None
+        # Column k scores the cut between sorted positions k and k + 1; the
+        # last column has no right side and is masked out.
+        v = self.f_t.ravel()[order + self.offsets]
+        ok = np.zeros(v.shape, dtype=bool)
+        np.not_equal(v[:, :-1], v[:, 1:], out=ok[:, :-1])  # boundaries between distinct values
+        del v
+        # cumsum along a row is a sequential add, as on a 1-D array, and the
+        # in-place steps below are the IEEE operations of
+        # gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent.
+        gl = g[order]
+        np.cumsum(gl, axis=1, out=gl)
+        hl = h[order]
+        np.cumsum(hl, axis=1, out=hl)
+        gr = g_sum - gl
+        hr = h_sum - hl
+        ok &= hl >= cfg.min_child_weight
+        ok &= hr >= cfg.min_child_weight
+        hl += cfg.l2
+        hr += cfg.l2
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked cells may divide by 0
+            gl *= gl
+            gl /= hl
+            gr *= gr
+            gr /= hr
+        gain = gl
+        gain += gr
+        gain -= g_sum * g_sum / (h_sum + cfg.l2)
+        np.copyto(gain, -np.inf, where=~ok)
+        cut = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
+        row_best = gain[np.arange(gain.shape[0]), cut]
+        wins = row_best > _GAIN_EPS  # False for NaN, as the strict compare was
+        if not wins.any():
+            return None
+        j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
+        lo, hi = self.f_t[j, order[j, cut[j]]], self.f_t[j, order[j, cut[j] + 1]]
+        thr = 0.5 * (lo + hi)
+        if thr >= hi:  # midpoint rounded up to the right value
+            thr = lo
+        return j, float(thr)
 
 
 def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
@@ -309,8 +337,7 @@ def fit_boosted_trees(
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = builder.build(g, h)
-        delta = tree.predict(f_train)
+        tree, delta = builder.build(g, h)
         # Deterministic backoff: halve the step until the training loss
         # does not increase (runs at most a handful of times near
         # saturation, usually zero).
@@ -340,8 +367,8 @@ def fit_boosted_regressor(
     ones = np.ones(f.shape[0])
     losses = [float(np.mean((pred - y) ** 2))]
     for _ in range(rounds):
-        tree = builder.build(pred - y, ones)
-        pred = pred + tree.predict(f)
+        tree, delta = builder.build(pred - y, ones)
+        pred = pred + delta
         trees.append(tree)
         losses.append(float(np.mean((pred - y) ** 2)))
     model = BoostedTrees(trees, len(trees), losses, losses, cfg)

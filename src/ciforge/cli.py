@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import BenchmarkConfig, run_benchmark, run_relations, write_scores_csv
@@ -53,25 +54,37 @@ def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise CiforgeError("--config must hold a JSON object")
+    return cfg
+
+
+# Config fields that are themselves config objects, built from nested JSON.
+_NESTED = {
+    TestConfig: {"mimic_config": MimicConfig, "gbt": GbtConfig, "mlp": MlpConfig, "logreg": LogRegConfig},
+    MimicConfig: {"mlp": MlpConfig},
+}
+
+
+def _config_kwargs(cls, given, where: str) -> dict:
+    """Keyword arguments for the config class ``cls`` from a JSON object."""
+    if not isinstance(given, dict):
+        raise CiforgeError(f"'{where}' in --config must be an object")
+    unknown = sorted(set(given) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CiforgeError(f"unknown key(s) under '{where}' in --config: {', '.join(unknown)}")
+    kwargs = dict(given)
+    for key, sub in _NESTED.get(cls, {}).items():
+        if key in kwargs:
+            kwargs[key] = sub(**_config_kwargs(sub, kwargs[key], f"{where}.{key}"))
+    if cls is MlpConfig and "widths" in kwargs:
+        kwargs["widths"] = tuple(kwargs["widths"])
+    return kwargs
 
 
 def _tester_from(args, file_cfg: dict) -> TestConfig:
-    cfg = dict(file_cfg.get("tester", {}))
-    nested = {
-        "mimic_config": MimicConfig,
-        "gbt": GbtConfig,
-        "mlp": MlpConfig,
-        "logreg": LogRegConfig,
-    }
-    kwargs = {}
-    for key, value in cfg.items():
-        if key in nested:
-            if key == "mlp" and "widths" in value:
-                value = dict(value, widths=tuple(value["widths"]))
-            kwargs[key] = nested[key](**value)
-        else:
-            kwargs[key] = value
+    kwargs = _config_kwargs(TestConfig, file_cfg.get("tester", {}), "tester")
     for flag in ("mimic", "classifier"):
         v = getattr(args, flag, None)
         if v is not None:

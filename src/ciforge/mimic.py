@@ -197,7 +197,7 @@ def _fit_table_mimic(d2: Dataset, config: MimicConfig) -> MimicModel:
             edges.append(None)  # codes are their own bins
         else:
             edges.append(np.asarray([np.median(zb[:, j])]))
-    bins = _bin_ids(zb, bin_cols, edges)
+    bins = _bin_ids(zb, d2.z_cols, bin_cols, edges)
     y = d2.y_block().astype(np.intp)
     tables = []
     for k, col in enumerate(d2.y_cols):
@@ -219,19 +219,32 @@ def _fit_table_mimic(d2: Dataset, config: MimicConfig) -> MimicModel:
     )
 
 
-def _bin_ids(zb: np.ndarray, bin_cols, edges) -> np.ndarray:
-    if not bin_cols:
-        return np.zeros(zb.shape[0], dtype=np.intp)
+def _bin_ids(zb: np.ndarray, z_cols: tuple[Column, ...], bin_cols, edges) -> np.ndarray:
+    """Mixed-radix bin id of each row.
+
+    A categorical column's radix is its declared cardinality, never the
+    codes a fold happens to contain, so a z cell has one id in every fold.
+    """
     ids = np.zeros(zb.shape[0], dtype=np.intp)
     for j, e in zip(bin_cols, edges):
         if e is None:
             part = zb[:, j].astype(np.intp)
-            width = int(part.max()) + 1 if part.size else 1
+            width = z_cols[j].cardinality
         else:
             part = np.searchsorted(e, zb[:, j], side="right")
             width = e.size + 1
         ids = ids * width + part
     return ids
+
+
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Code drawn by each row's uniform ``u`` from its row of ``probs``.
+
+    A cumulative sum can round to just below 1, so a ``u`` above it is
+    clipped to the last code rather than emitted out of range.
+    """
+    codes = (u[:, None] >= probs.cumsum(axis=1)).sum(axis=1)
+    return np.minimum(codes, probs.shape[1] - 1)
 
 
 def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
@@ -254,12 +267,11 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
         y_hat = rng.uniform(model.bounds[:, 0], model.bounds[:, 1], size=(n, n_y))
         new_cols = tuple(Column(c.name) for c in model.y_cols)
     elif model.kind == "table":
-        bins = _bin_ids(d3.z_block(), model.bin_cols, model.bin_edges)
+        bins = _bin_ids(d3.z_block(), model.z_cols, model.bin_cols, model.bin_edges)
         y_hat = np.empty((n, n_y))
-        for k, (col, table) in enumerate(zip(model.y_cols, model.tables)):
+        for k, table in enumerate(model.tables):
             probs = np.stack([table.get(int(b), table["__global__"]) for b in bins])
-            u = rng.random(n)
-            y_hat[:, k] = (u[:, None] >= probs.cumsum(axis=1)).sum(axis=1)
+            y_hat[:, k] = _inverse_cdf(probs, rng.random(n))
         new_cols = model.y_cols
     else:
         raise ValueError(f"unknown mimic kind {model.kind!r}")

@@ -1,12 +1,18 @@
 """Boosted trees, baselines, and error measurement."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciforge.classify import (
     FeatureEncoder,
     GbtConfig,
     LogRegConfig,
+    Tree,
+    _TreeBuilder,
     classifier_error,
     fit_boosted_regressor,
     fit_boosted_trees,
@@ -15,8 +21,10 @@ from ciforge.classify import (
     mlp_classifier_train,
 )
 from ciforge.core import Column, Dataset, LabeledDataset, derive_rng, drop_x, strip_x
+from ciforge.datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
 from ciforge.errors import EmptyTest, SchemaMismatch, SingleClass
 from ciforge.nn import MlpConfig
+from ciforge.testkit import TestConfig, ci_test
 
 
 def blob_problem(n=2000, seed=0, d=2, separation=1.5):
@@ -224,3 +232,188 @@ class TestFeatureEncoder:
         out = enc.transform(np.array([[63.0], [5.0]]))
         assert out.shape == (2, 1)
         assert out[0, 0] == 63.0
+
+
+# ---------------------------------------------------------------------------
+# Reference split search: the per-feature mask scan the builder must match
+# ---------------------------------------------------------------------------
+
+
+def reference_build(f, g, h, cfg):
+    """One tree by rescanning every feature's presorted order at each node."""
+    order = [np.argsort(f[:, j], kind="stable") for j in range(f.shape[1])]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def best_split(mask, g_sum, h_sum):
+        parent = g_sum * g_sum / (h_sum + cfg.l2)
+        best_gain, best = 1e-12, None
+        for j in range(f.shape[1]):
+            idx = order[j][mask[order[j]]]
+            if idx.size < 2:
+                continue
+            v = f[idx, j]
+            cg, ch = np.cumsum(g[idx]), np.cumsum(h[idx])
+            cut = np.nonzero(v[:-1] != v[1:])[0]
+            if cut.size == 0:
+                continue
+            gl, hl = cg[cut], ch[cut]
+            gr, hr = g_sum - gl, h_sum - hl
+            ok = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+            if not ok.any():
+                continue
+            gain = np.where(ok, gl * gl / (hl + cfg.l2) + gr * gr / (hr + cfg.l2) - parent, -np.inf)
+            k = int(np.argmax(gain))
+            if gain[k] > best_gain:
+                lo, hi = v[cut[k]], v[cut[k] + 1]
+                thr = 0.5 * (lo + hi)
+                if thr >= hi:
+                    thr = lo
+                best_gain, best = float(gain[k]), (j, float(thr))
+        return best
+
+    def grow(mask, depth):
+        g_sum, h_sum = float(g[mask].sum()), float(h[mask].sum())
+        split = None if depth >= cfg.max_depth else best_split(mask, g_sum, h_sum)
+        node = len(feature)
+        left.append(-1)
+        right.append(-1)
+        if split is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(-g_sum / (h_sum + cfg.l2) * cfg.learning_rate)
+            return node
+        j, thr = split
+        feature.append(j)
+        threshold.append(thr)
+        value.append(0.0)
+        go_left = mask & (f[:, j] <= thr)
+        left[node] = grow(go_left, depth + 1)
+        right[node] = grow(mask & ~go_left, depth + 1)
+        return node
+
+    grow(np.ones(f.shape[0], dtype=bool), 0)
+    return Tree(
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.asarray(value),
+    )
+
+
+def reference_predict(tree, f):
+    out = np.empty(f.shape[0])
+    stack = [(0, np.arange(f.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        go_left = f[idx, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.left[node], idx[go_left]))
+        stack.append((tree.right[node], idx[~go_left]))
+    return out
+
+
+_COLUMN_KINDS = ("continuous", "ties", "constant", "one_hot", "adjacent")
+
+
+def make_column(kind, n, rng):
+    if kind == "continuous":
+        return rng.standard_normal(n)
+    if kind == "ties":
+        return rng.integers(0, 4, n).astype(np.float64)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "one_hot":
+        return (rng.random(n) < 0.3).astype(np.float64)
+    # neighbouring floats whose midpoint rounds up to the larger one
+    lo = np.nextafter(1.0, 2.0)
+    return np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, 2.0))
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 80))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = np.column_stack([make_column(k, n, rng) for k in kinds])
+    if draw(st.booleans()):  # duplicated rows tie on every feature at once
+        f = f[rng.integers(0, n, n)]
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    gradient = draw(st.sampled_from(("logistic", "logistic_dyadic", "unit", "unit_integer")))
+    if gradient == "logistic":
+        p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
+    elif gradient == "logistic_dyadic":  # exact sums: gains tie across cuts
+        p = rng.choice([0.25, 0.5, 0.75], n)
+    if gradient.startswith("logistic"):
+        g, h = p - y, p * (1.0 - p)
+    elif gradient == "unit":  # the regressor's unit hessian
+        g, h = rng.standard_normal(n), np.ones(n)
+    else:
+        g, h = rng.integers(-2, 3, n).astype(np.float64), np.ones(n)
+    cfg = GbtConfig(
+        max_depth=draw(st.sampled_from((1, 3, 4))),
+        learning_rate=draw(st.sampled_from((0.1, 0.3, 1.0))),
+        l2=draw(st.sampled_from((0.0, 1.0))),
+        min_child_weight=draw(st.sampled_from((0.0, 1.0, 3.0, 10.0))),
+    )
+    return f, g, h, cfg
+
+
+def assert_same_tree(a, b):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+class TestTreeBuilder:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_per_feature_scan(self, problem):
+        f, g, h, cfg = problem
+        tree, row_values = _TreeBuilder(f, cfg).build(g, h)
+        assert_same_tree(tree, reference_build(f, g, h, cfg))
+        assert np.array_equal(row_values, reference_predict(tree, f))
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_problems(), st.integers(0, 2**32 - 1))
+    def test_predict_matches_stack_walk(self, problem, seed):
+        f, g, h, cfg = problem
+        tree, _ = _TreeBuilder(f, cfg).build(g, h)
+        rng = np.random.default_rng(seed)
+        unseen = rng.standard_normal((50, f.shape[1]))
+        unseen[rng.random(unseen.shape) < 0.1] = np.nan
+        for rows in (f, unseen, f[:0]):
+            assert np.array_equal(tree.predict(rows), reference_predict(tree, rows))
+
+    def test_builder_is_reused_across_rounds(self):
+        """The presorted order is shared state: later builds must not see
+        anything an earlier build left behind."""
+        f, y = blob_problem(n=300, seed=23, d=4)
+        cfg = GbtConfig(max_depth=4)
+        builder = _TreeBuilder(f, cfg)
+        rng = derive_rng(24, "rounds")
+        for _ in range(5):
+            g, h = rng.standard_normal(300), rng.random(300)
+            tree, _ = builder.build(g, h)
+            assert_same_tree(tree, reference_build(f, g, h, cfg))
+
+
+class TestGoldenReports:
+    """Report digests recorded before the split search was rewritten
+    (numpy 2.4): a faster booster must not move a single byte."""
+
+    def test_pnl_report_digest(self):
+        ds = gen_postnonlinear(PostNonlinearConfig(d_z=3, n=600, ci=False, a_xy=2.0, seed=11))
+        text = ci_test(ds, TestConfig(seed=5)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f0e176f323bdd1ac5c3665162dee98b4e2327fe09d08faa1d8fde77f8ac5fc1b"
+        )
+
+    def test_discrete_report_digest(self):
+        ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=True, seed=12), 600, seed=13)
+        text = ci_test(ds, TestConfig(seed=5)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4569acdfa629556736d0e2402415a6f74b522c10b661829f69ed68c0d656061c"
+        )

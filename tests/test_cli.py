@@ -173,3 +173,33 @@ class TestUsage:
     def test_missing_file_is_an_error(self, capsys):
         code = main(["test", "--data", "/nonexistent/nowhere.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"tester": {"bogus": 1}},
+            {"tester": {"gbt": {"bogus": 1}}},
+            {"tester": {"mimic_config": {"bogus": 1}}},
+            {"tester": {"mimic_config": {"mlp": {"bogus": 1}}}},
+            {"tester": {"gbt": 5}},
+            {"tester": []},
+            [],
+        ],
+    )
+    def test_malformed_config_exits_two(self, config, tmp_path, capsys):
+        """Exit 1 means "decided H1", so a bad config must never produce it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, stderr = run_cli(capsys, "test", "--data", str(tmp_path / "unused.csv"), "--config", str(cfg))
+        assert code == 2
+        assert "error:" in stderr
+
+    def test_nested_config_objects_are_built(self):
+        from ciforge.cli import _tester_from, build_parser
+        from ciforge.nn import MlpConfig
+
+        args = build_parser().parse_args(["test", "--data", "unused.csv"])
+        file_cfg = {"tester": {"mlp": {"widths": [3, 2]}, "mimic_config": {"mlp": {"widths": [4], "epochs": 2}}}}
+        cfg = _tester_from(args, file_cfg)
+        assert cfg.mlp == MlpConfig(widths=(3, 2))
+        assert cfg.mimic_config.mlp == MlpConfig(widths=(4,), epochs=2)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciforge.core import Column, Dataset, derive_rng
 from ciforge.errors import DegenerateRange, MimicSupportWarning, SchemaMismatch, TooFewRows
 from ciforge.mimic import (
     MimicConfig,
+    _inverse_cdf,
     fit_reg_mimic,
     fit_uniform_mimic,
     mimic_apply,
@@ -216,3 +219,49 @@ class TestTableMimic:
             p_true = y[sel].mean()
             p_mim = out.y_block()[sel, 0].mean()
             assert abs(p_true - p_mim) < 0.12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 5), min_size=1, max_size=3),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_z_cell_keeps_its_bin_across_folds(self, z_cards, y_card, seed):
+        """y is a function of the z cell; the fit fold never sees the top
+        code of any z column, so a radix taken from observed codes would
+        file the apply fold's cells under other cells' tables."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        z_cols = tuple(Column(f"z_{j}", "categorical", c) for j, c in enumerate(z_cards))
+        y_col = Column("y_0", "categorical", y_card)
+
+        def fold(top_codes):
+            z = np.column_stack([rng.integers(0, c - (0 if top_codes else 1), n) for c in z_cards])
+            cell = z @ np.arange(1, len(z_cards) + 1)
+            y = (cell % y_card).astype(np.float64)
+            return Dataset((), (y_col,), z_cols, np.column_stack([y, z]).astype(np.float64))
+
+        d2, d3 = fold(top_codes=False), fold(top_codes=True)
+        model = fit_reg_mimic(d2, MimicConfig(categorical_table=True))
+        y_hat = mimic_apply(model, d3, seed=seed % 1000).y_block()[:, 0]
+        seen = np.zeros(n, dtype=bool)
+        for row in d2.z_block():
+            seen |= (d3.z_block() == row).all(axis=1)
+        assert seen.any()
+        assert np.array_equal(y_hat[seen], d3.y_block()[seen, 0])
+        assert np.all((y_hat >= 0) & (y_hat < y_card) & (y_hat == np.floor(y_hat)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=2, max_size=12).filter(any), st.floats(0.0, 1.0, exclude_max=True))
+    def test_inverse_cdf_stays_in_range(self, counts, u):
+        probs = np.asarray(counts, dtype=np.float64)
+        probs /= probs.sum()
+        draws = np.array([u, np.nextafter(1.0, 0.0)])
+        codes = _inverse_cdf(np.stack([probs, probs]), draws)
+        assert np.all((codes >= 0) & (codes < probs.size))
+        assert probs[codes[0]] > 0 or codes[0] == probs.size - 1
+
+    def test_inverse_cdf_when_cumsum_rounds_below_one(self):
+        probs = np.full((1, 10), 0.1)  # ten 0.1s sum to 0.9999999999999999
+        assert probs.cumsum()[-1] < 1.0
+        assert _inverse_cdf(probs, np.array([np.nextafter(1.0, 0.0)]))[0] == 9
