@@ -22,10 +22,10 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   until it does not (deterministic backoff), so the per-round training-loss
   sequence is non-increasing by construction.
 
-Logistic regression (Newton/IRLS) and an MLP wrapper cover the baseline
-classifier kinds.  All models score through the same Dataset-level
-interface; a model trained without x columns simply never looks them up,
-so its predictions cannot depend on x.
+Logistic regression (Newton/IRLS) and an MLP cover the baseline classifier
+kinds.  One Dataset-level wrapper scores all three: it looks the columns a
+model was trained on up by name, so a model trained without x columns
+never reads them and its predictions cannot depend on x.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class GbtConfig:
     learning_rate: float = 0.1
     l2: float = 1.0
     min_child_weight: float = 1.0
-    seed: int = 0  # no stochastic steps; kept for interface uniformity
 
 
 @dataclass
@@ -385,7 +384,6 @@ class LogRegConfig:
     max_iter: int = 50
     tol: float = 1e-10
     ridge: float = 1e-6
-    seed: int = 0
 
 
 @dataclass
@@ -430,31 +428,14 @@ def fit_logreg(f: np.ndarray, y: np.ndarray, config: LogRegConfig) -> LogRegCore
 
 
 @dataclass
-class GbtModel:
-    """Boosted trees plus the column schema and encoder they were fit on."""
+class DatasetClassifier:
+    """A matrix-level classifier plus the column schema and encoder it was fit on.
 
-    booster: BoostedTrees
-    schema: tuple[tuple[str, Column], ...]
-    encoder: FeatureEncoder
+    ``core`` is a ``BoostedTrees``, ``LogRegCore`` or ``Mlp``; each scores
+    an encoded feature matrix with ``predict_score``.
+    """
 
-    @property
-    def best_round(self) -> int:
-        return self.booster.best_round
-
-    @property
-    def trees(self) -> list[Tree]:
-        return self.booster.trees
-
-    def features(self, ds: Dataset) -> np.ndarray:
-        return self.encoder.transform(_resolve_columns(ds, self.schema))
-
-    def predict_score(self, ds: Dataset) -> np.ndarray:
-        return self.booster.predict_score(self.features(ds))
-
-
-@dataclass
-class LinearModel:
-    core: LogRegCore
+    core: BoostedTrees | LogRegCore | Mlp
     schema: tuple[tuple[str, Column], ...]
     encoder: FeatureEncoder
 
@@ -462,55 +443,40 @@ class LinearModel:
         return self.core.predict_score(self.encoder.transform(_resolve_columns(ds, self.schema)))
 
 
-@dataclass
-class MlpClassifier:
-    net: Mlp
-    schema: tuple[tuple[str, Column], ...]
-    encoder: FeatureEncoder
-
-    def predict_score(self, ds: Dataset) -> np.ndarray:
-        f = self.encoder.transform(_resolve_columns(ds, self.schema))
-        return self.net.predict(f)[:, 0]
-
-
-def _check_both_classes(labels: np.ndarray) -> None:
-    if np.unique(labels).size < 2:
+def _encode_train(train: LabeledDataset):
+    """Schema, encoder and encoded features of a training set with both classes."""
+    if np.unique(train.labels).size < 2:
         raise SingleClass("training labels contain a single class")
-
-
-def gbt_train(train: LabeledDataset, val: LabeledDataset, config: GbtConfig = GbtConfig()) -> GbtModel:
-    """Fit the boosted-tree classifier on a labeled dataset."""
-    _check_both_classes(train.labels)
     schema = dataset_schema(train.base, include_x=True)
     encoder = FeatureEncoder(tuple(c for _, c in schema))
-    f_tr = encoder.transform(_resolve_columns(train.base, schema))
+    return schema, encoder, encoder.transform(_resolve_columns(train.base, schema))
+
+
+def gbt_train(train: LabeledDataset, val: LabeledDataset, config: GbtConfig = GbtConfig()) -> DatasetClassifier:
+    """Fit the boosted-tree classifier on a labeled dataset."""
+    schema, encoder, f_tr = _encode_train(train)
     f_va = encoder.transform(_resolve_columns(val.base, schema))
     booster = fit_boosted_trees(f_tr, train.labels, f_va, val.labels, config)
-    return GbtModel(booster, schema, encoder)
+    return DatasetClassifier(booster, schema, encoder)
 
 
-def logreg_train(train: LabeledDataset, val: LabeledDataset, config: LogRegConfig = LogRegConfig()) -> LinearModel:
+def logreg_train(
+    train: LabeledDataset, val: LabeledDataset, config: LogRegConfig = LogRegConfig()
+) -> DatasetClassifier:
     """Fit the logistic-regression baseline (validation set unused: convex fit)."""
-    _check_both_classes(train.labels)
-    schema = dataset_schema(train.base, include_x=True)
-    encoder = FeatureEncoder(tuple(c for _, c in schema))
-    f_tr = encoder.transform(_resolve_columns(train.base, schema))
-    core = fit_logreg(f_tr, train.labels, config)
-    return LinearModel(core, schema, encoder)
+    schema, encoder, f_tr = _encode_train(train)
+    return DatasetClassifier(fit_logreg(f_tr, train.labels, config), schema, encoder)
 
 
 def mlp_classifier_train(
     train: LabeledDataset, val: LabeledDataset, config: MlpConfig = MlpConfig(widths=(32,), epochs=80, loss="logistic")
-) -> MlpClassifier:
+) -> DatasetClassifier:
     """Fit the MLP baseline with logistic loss (validation set unused)."""
-    _check_both_classes(train.labels)
+    schema, encoder, f_tr = _encode_train(train)
     if config.loss != "logistic":
         raise ValueError("classifier MLP must use logistic loss")
-    schema = dataset_schema(train.base, include_x=True)
-    encoder = FeatureEncoder(tuple(c for _, c in schema))
-    f_tr = encoder.transform(_resolve_columns(train.base, schema))
     net = mlp_train(f_tr, train.labels.astype(np.float64), config)
-    return MlpClassifier(net, schema, encoder)
+    return DatasetClassifier(net, schema, encoder)
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,11 @@ def _config_kwargs(cls, given, where: str) -> dict:
     unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
         raise CiforgeError(f"unknown key(s) under '{where}' in --config: {', '.join(unknown)}")
-    kwargs = dict(given)
+    # Sequence fields (tvs, widths) are tuples; JSON only has lists.
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
     for key, sub in _NESTED.get(cls, {}).items():
         if key in kwargs:
             kwargs[key] = sub(**_config_kwargs(sub, kwargs[key], f"{where}.{key}"))
-    if cls is MlpConfig and "widths" in kwargs:
-        kwargs["widths"] = tuple(kwargs["widths"])
     return kwargs
 
 
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CiforgeError, OSError, ValueError) as exc:
+    except Exception as exc:  # exit 1 means "decided H1", so every failure is 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -175,11 +175,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Deterministic three-way row partition plus train/val/test fractions."""
+    """Deterministic three-way row partition."""
 
     seed: int
     thirds: tuple[np.ndarray, np.ndarray, np.ndarray]
-    tvs: tuple[float, float, float] = (0.5, 0.25, 0.25)
 
     def __post_init__(self):
         parts = tuple(np.asarray(t, dtype=np.intp) for t in self.thirds)
@@ -330,6 +329,9 @@ def read_relations(path) -> list[Relation]:
     out = []
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in ("X", "Y", "label") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaMismatch(f"relation file lacks column(s): {', '.join(missing)}")
         for row in reader:
             label = row["label"].strip()
             if label not in ("CI", "NOTCI"):

@@ -3,14 +3,14 @@
 The regression mimic fits r(z) ~ E[y|z] (boosted depth-3 trees by default,
 an MLP for very wide z), measures the residuals, and replaces each
 held-out y with r(z) + s, where s is full-covariance Gaussian noise with
-probability 0.3 and per-coordinate Laplace noise otherwise.  Both noise
-families have full support, so the mimicked conditional is positive
-wherever the true one is, which is the support condition the downstream
-test relies on.
+probability ``GAUSSIAN_PROB`` = 0.3 and per-coordinate Laplace noise
+otherwise.  Both noise families have full support, so the mimicked
+conditional is positive wherever the true one is, which is the support
+condition the downstream test relies on.
 
 The uniform mimic ignores z entirely and draws y uniformly inside the
-observed (padded) range, the simplest conditional with a provable gap
-bound for bounded scalar y.
+observed range, the simplest conditional with a provable gap bound for
+bounded scalar y.
 
 Mimicked y columns are emitted as continuous even when the source y was
 categorical (codes plus continuous noise).  A frequency-table mimic that
@@ -34,17 +34,18 @@ from .nn import Mlp, MlpConfig, mlp_train
 #: Switch from boosted trees to an MLP regressor above this z width.
 TREES_MAX_Z = 50
 
+#: Share of regression-mimic rows that get Gaussian rather than Laplace noise.
+GAUSSIAN_PROB = 0.3
+
 _TABLE_MAX_COLS = 6  # z columns used for the coarse bins of the table mimic
 
 
 @dataclass(frozen=True)
 class MimicConfig:
     regressor: str = "auto"  # "auto" | "trees" | "mlp"
-    gaussian_prob: float = 0.3
     tree_rounds: int = 200
     tree_lr: float = 0.1
     tree_depth: int = 3  # depth 1 = boosted stumps
-    crossfit_residuals: bool = False
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100, loss="squared"))
     categorical_table: bool = False
     seed: int = 0
@@ -52,8 +53,6 @@ class MimicConfig:
     def __post_init__(self):
         if self.regressor not in ("auto", "trees", "mlp"):
             raise ValueError(f"unknown regressor {self.regressor!r}")
-        if not 0.0 <= self.gaussian_prob <= 1.0:
-            raise ValueError("gaussian_prob must lie in [0, 1]")
 
 
 @dataclass
@@ -68,7 +67,6 @@ class MimicModel:
     net: Mlp | None = None
     chol: np.ndarray | None = None
     laplace_scales: np.ndarray | None = None
-    gaussian_prob: float = 0.3
     bounds: np.ndarray | None = None  # (n_y, 2) for the uniform kind
     bin_cols: tuple[int, ...] = ()
     bin_edges: list[np.ndarray] = field(default_factory=list)
@@ -77,10 +75,14 @@ class MimicModel:
     def predict_mean(self, z_block: np.ndarray) -> np.ndarray:
         if self.kind != "regression":
             raise ValueError("predict_mean is only defined for the regression kind")
-        zf = self.encoder.transform(z_block)
-        if self.net is not None:
-            return self.net.forward(zf)
-        return np.column_stack([m.predict_margin(zf, rounds=len(m.trees)) for m in self.trees])
+        return _regress(self.encoder.transform(z_block), self.net, self.trees)
+
+
+def _regress(zf: np.ndarray, net: Mlp | None, trees: list[BoostedTrees] | None) -> np.ndarray:
+    """r(z) from encoded z: the MLP, or one boosted regressor per y column."""
+    if net is not None:
+        return net.forward(zf)
+    return np.column_stack([m.predict_margin(zf, rounds=len(m.trees)) for m in trees])
 
 
 def _check_z_schema(model: MimicModel, ds: Dataset) -> None:
@@ -90,39 +92,14 @@ def _check_z_schema(model: MimicModel, ds: Dataset) -> None:
         raise SchemaMismatch("y width of the dataset does not match the fitted mimic")
 
 
-def _fit_regressors(zf: np.ndarray, y: np.ndarray, use_mlp: bool, config: MimicConfig, seed: int):
-    """Fit the mean regressor on (zf, y); returns (net, trees, predict_fn)."""
-    if use_mlp:
-        net = mlp_train(zf, y, replace(config.mlp, loss="squared", seed=seed))
-        return net, None, net.forward
-    trees = [
-        fit_boosted_regressor(
-            zf,
-            y[:, k],
-            rounds=config.tree_rounds,
-            learning_rate=config.tree_lr,
-            max_depth=config.tree_depth,
-        )
-        for k in range(y.shape[1])
-    ]
-
-    def predict(f):
-        return np.column_stack([m.predict_margin(f, rounds=len(m.trees)) for m in trees])
-
-    return None, trees, predict
-
-
 def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicModel:
     """Fit the regression mimic on the (y, z) blocks of ``d2``.
 
-    Residual moments are measured in-sample on the fit fold by default.
-    A flexible regressor absorbs some noise there, so the moments run a
-    little tight; ``crossfit_residuals`` switches to two-fold cross
-    predictions for honest predictive spread (the final regressor is still
-    refit on all of d2).  The tighter default gives the downstream
-    classifiers a crisper real-vs-mimic contrast, which is what the test's
-    power comes from.  Gaussian noise uses the shrunk full covariance;
-    Laplace noise uses per-coordinate scales with 2 b^2 = variance.
+    Residual moments are measured in-sample on the fit fold.  A flexible
+    regressor absorbs some noise there, so the moments run a little tight,
+    which gives the downstream classifiers a crisper real-vs-mimic contrast.
+    Gaussian noise uses the shrunk full covariance; Laplace noise uses
+    per-coordinate scales with 2 b^2 = variance.
     """
     if d2.n_rows < 20:
         raise TooFewRows(f"regression mimic needs >= 20 rows, got {d2.n_rows}")
@@ -134,18 +111,21 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicMode
     encoder = FeatureEncoder(d2.z_cols)
     zf = encoder.transform(d2.z_block())
 
-    use_mlp = config.regressor == "mlp" or (config.regressor == "auto" and d2.n_z > TREES_MAX_Z)
-    net, trees, predict = _fit_regressors(zf, y, use_mlp, config, config.seed)
-
-    if config.crossfit_residuals:
-        order = derive_rng(config.seed, "mimic-crossfit").permutation(d2.n_rows)
-        fold_a, fold_b = order[: d2.n_rows // 2], order[d2.n_rows // 2 :]
-        resid = np.empty_like(y)
-        for fit_idx, score_idx in ((fold_a, fold_b), (fold_b, fold_a)):
-            *_, fold_predict = _fit_regressors(zf[fit_idx], y[fit_idx], use_mlp, config, config.seed)
-            resid[score_idx] = y[score_idx] - fold_predict(zf[score_idx])
+    net, trees = None, None
+    if config.regressor == "mlp" or (config.regressor == "auto" and d2.n_z > TREES_MAX_Z):
+        net = mlp_train(zf, y, replace(config.mlp, loss="squared", seed=config.seed))
     else:
-        resid = y - predict(zf)
+        trees = [
+            fit_boosted_regressor(
+                zf,
+                y[:, k],
+                rounds=config.tree_rounds,
+                learning_rate=config.tree_lr,
+                max_depth=config.tree_depth,
+            )
+            for k in range(d2.n_y)
+        ]
+    resid = y - _regress(zf, net, trees)
     cov = np.atleast_2d(np.cov(resid.T))
     shrink = 1e-6 * float(np.trace(cov)) / d2.n_y
     if shrink <= 0:
@@ -161,12 +141,11 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicMode
         net=net,
         chol=chol,
         laplace_scales=scales,
-        gaussian_prob=config.gaussian_prob,
     )
 
 
-def fit_uniform_mimic(d2: Dataset, padding: float = 0.0) -> MimicModel:
-    """Per-coordinate uniform bounds over the observed (padded) y range."""
+def fit_uniform_mimic(d2: Dataset) -> MimicModel:
+    """Per-coordinate uniform bounds over the observed y range."""
     if any(c.kind == "categorical" for c in d2.y_cols):
         warnings.warn(
             "uniform mimic on categorical y treats codes as a continuous range",
@@ -175,15 +154,14 @@ def fit_uniform_mimic(d2: Dataset, padding: float = 0.0) -> MimicModel:
     y = d2.y_block()
     lo = y.min(axis=0)
     hi = y.max(axis=0)
-    span = hi - lo
-    if np.any(span <= 0):
-        k = int(np.argmax(span <= 0))
+    if np.any(hi <= lo):
+        k = int(np.argmax(hi <= lo))
         raise DegenerateRange(f"y column {d2.y_cols[k].name!r} is constant")
     return MimicModel(
         kind="uniform",
         y_cols=d2.y_cols,
         z_cols=d2.z_cols,
-        bounds=np.column_stack([lo - padding * span, hi + padding * span]),
+        bounds=np.column_stack([lo, hi]),
     )
 
 
@@ -258,7 +236,7 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
     n, n_y = d3.n_rows, d3.n_y
     if model.kind == "regression":
         base = model.predict_mean(d3.z_block())
-        use_gauss = rng.random(n) < model.gaussian_prob
+        use_gauss = rng.random(n) < GAUSSIAN_PROB
         gauss = rng.standard_normal((n, n_y)) @ model.chol.T
         lap = rng.laplace(0.0, model.laplace_scales, size=(n, n_y))
         y_hat = base + np.where(use_gauss[:, None], gauss, lap)
@@ -295,4 +273,4 @@ def noise_density(model: MimicModel, points: np.ndarray) -> np.ndarray:
     g = np.exp(-0.5 * quad - 0.5 * logdet - 0.5 * n_y * np.log(2 * np.pi))
     b = model.laplace_scales
     l = np.exp(-np.abs(pts) / b).prod(axis=1) / float(np.prod(2.0 * b))
-    return model.gaussian_prob * g + (1.0 - model.gaussian_prob) * l
+    return GAUSSIAN_PROB * g + (1.0 - GAUSSIAN_PROB) * l

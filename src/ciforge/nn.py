@@ -63,6 +63,10 @@ class Mlp:
             return _sigmoid(out)
         return out
 
+    def predict_score(self, x: np.ndarray) -> np.ndarray:
+        """1-D score of a one-output net: the first column of ``predict``."""
+        return self.predict(x)[:, 0]
+
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)

@@ -46,6 +46,10 @@ from .mimic import MimicConfig, fit_reg_mimic, fit_uniform_mimic, mimic_apply
 from .nn import MlpConfig
 
 
+#: Failure probability of the reported ERM excess-error bound.
+ERM_DELTA = 0.05
+
+
 def child_seed(seed: int, label: str) -> int:
     """A stable 63-bit child seed for a named subsystem."""
     return int(derive_rng(seed, label).integers(2**63))
@@ -90,14 +94,11 @@ class TestConfig:
     tau: float | None = None
     seed: int = DEFAULT_SEED
     tvs: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    uniform_padding: float = 0.0
     mimic_config: MimicConfig = field(default_factory=MimicConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=80, loss="logistic"))
     logreg: LogRegConfig = field(default_factory=LogRegConfig)
     vc_dim: int | None = None
-    erm_delta: float = 0.05
-    erm_c: float = 1.0
 
     def __post_init__(self):
         if self.mimic not in ("reg", "uniform"):
@@ -182,10 +183,10 @@ def _continuous_y(ds: Dataset) -> Dataset:
 
 def _train_classifier(kind: str, train, val, config: TestConfig, seed: int):
     if kind == "gbt":
-        return gbt_train(train, val, replace(config.gbt, seed=seed))
+        return gbt_train(train, val, config.gbt)
     if kind == "mlp":
         return mlp_classifier_train(train, val, replace(config.mlp, seed=seed))
-    return logreg_train(train, val, replace(config.logreg, seed=seed))
+    return logreg_train(train, val, config.logreg)
 
 
 def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
@@ -204,7 +205,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     if config.mimic == "reg":
         model = fit_reg_mimic(d2, replace(config.mimic_config, seed=child_seed(seed, "mimic-fit")))
     else:
-        model = fit_uniform_mimic(d2, config.uniform_padding)
+        model = fit_uniform_mimic(d2)
     d_prime = mimic_apply(model, d3, seed=child_seed(seed, "mimic-noise"))
 
     d1_eff = d1 if d1.y_cols == d_prime.y_cols else _continuous_y(d1)
@@ -234,7 +235,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     p_value = gap_pvalue(gap, n_s)
     erm = None
     if config.vc_dim is not None:
-        erm = erm_excess_bound(config.vc_dim, part_t.n_rows, config.erm_delta, config.erm_c)
+        erm = erm_excess_bound(config.vc_dim, part_t.n_rows, ERM_DELTA)
 
     cfg_echo = asdict(config)
     return TestReport(

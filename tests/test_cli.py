@@ -79,6 +79,35 @@ class TestTest:
         assert rep["tau"] == 0.9
         assert rep["decision"] == "H0"
 
+    @pytest.mark.parametrize("tester", [{"gbt": {"rounds": "5"}}, {"alpha": "0.05"}])
+    def test_wrong_typed_config_value_exits_two(self, tester, h0_csv, tmp_path, capsys):
+        """The value passes key validation and fails inside the test run;
+        exit 1 would read as "decided H1"."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tester": tester}))
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr
+
+    def test_config_echo_round_trips(self, h0_csv, tmp_path, capsys):
+        """A report's config echo, fed back as --config, rebuilds the same
+        TestConfig and the same report bytes."""
+        from ciforge.cli import _tester_from, build_parser
+
+        first = {"tester": {"gbt": {"rounds": 15}, "mimic_config": {"tree_rounds": 15}}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(first))
+        _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg), "--seed", "9")
+        rep = json.loads(out)
+        echo = {"tester": rep["config"], "seed": rep["seed"]}
+        parser = build_parser()
+        original = _tester_from(parser.parse_args(["test", "--data", str(h0_csv), "--seed", "9"]), first)
+        assert _tester_from(parser.parse_args(["test", "--data", str(h0_csv)]), echo) == original
+        cfg.write_text(json.dumps(echo))
+        _, out_echo, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
+        assert out_echo == out
+
 
 class TestBench:
     def test_small_sweep(self, tmp_path, capsys):
@@ -146,6 +175,15 @@ class TestRelations:
         assert code == 2
         assert "missing" in err
 
+    def test_relation_file_without_label_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "table.csv"
+        data.write_text("a,b,c\n" + "\n".join(f"{i}.0,{i+1}.0,{i+2}.0" for i in range(70)) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z\na,b,c\n")
+        code, _, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert "label" in err
+
 
 class TestVerify:
     def test_passes_on_correct_build(self, capsys):
@@ -193,6 +231,25 @@ class TestUsage:
         code, _, stderr = run_cli(capsys, "test", "--data", str(tmp_path / "unused.csv"), "--config", str(cfg))
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize(
+        "tester",
+        [
+            {"uniform_padding": 0.0},
+            {"erm_delta": 0.05},
+            {"erm_c": 1.0},
+            {"gbt": {"seed": 0}},
+            {"logreg": {"seed": 0}},
+            {"mimic_config": {"crossfit_residuals": False}},
+            {"mimic_config": {"gaussian_prob": 0.3}},
+        ],
+    )
+    def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tester": tester}))
+        code, _, stderr = run_cli(capsys, "test", "--data", str(tmp_path / "unused.csv"), "--config", str(cfg))
+        assert code == 2
+        assert "unknown key" in stderr
 
     def test_nested_config_objects_are_built(self):
         from ciforge.cli import _tester_from, build_parser

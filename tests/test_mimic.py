@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ciforge.core import Column, Dataset, derive_rng
 from ciforge.errors import DegenerateRange, MimicSupportWarning, SchemaMismatch, TooFewRows
 from ciforge.mimic import (
+    TREES_MAX_Z,
     MimicConfig,
     _inverse_cdf,
     fit_reg_mimic,
@@ -15,6 +16,7 @@ from ciforge.mimic import (
     mimic_apply,
     noise_density,
 )
+from ciforge.nn import MlpConfig
 
 
 def yz_dataset(n=1000, n_y=1, n_z=2, seed=0, link="identity", with_x=True):
@@ -42,25 +44,21 @@ class TestFitRegMimic:
     def test_realizable_regression_has_small_residuals(self):
         """y = z exactly: the residual covariance trace collapses."""
         ds = yz_dataset(n=1000, link="identity")
-        model = fit_reg_mimic(ds, MimicConfig(crossfit_residuals=False))
+        model = fit_reg_mimic(ds, MimicConfig())
         assert float(np.trace(model.chol @ model.chol.T)) < 0.05
 
     def test_independent_y_keeps_marginal_variance(self):
         """y independent of z: r(z) ~ mean(y), residual variance ~ Var(y).
 
         In-sample residuals run tight because the trees absorb some noise
-        (measured ratio ~0.79 at these sizes); cross-fitting lands just
-        above 1 (measured ~1.10) since out-of-fold predictions add noise.
-        Both measured values are frozen here with honest margins.
+        (measured ratio ~0.79 at these sizes); the measured value is frozen
+        here with an honest margin.
         """
         ds = yz_dataset(n=2000, link="independent", seed=3)
         var_y = ds.y_block().var()
         model = fit_reg_mimic(ds, MimicConfig())
         resid_var = float((model.chol @ model.chol.T)[0, 0])
         assert 0.7 * var_y < resid_var < 1.05 * var_y
-        crossfit = fit_reg_mimic(ds, MimicConfig(crossfit_residuals=True))
-        resid_cf = float((crossfit.chol @ crossfit.chol.T)[0, 0])
-        assert 0.9 * var_y < resid_cf < 1.2 * var_y
         pred = model.predict_mean(ds.z_block())
         assert abs(pred.mean() - ds.y_block().mean()) < 0.1
 
@@ -78,6 +76,39 @@ class TestFitRegMimic:
     def test_laplace_scales_positive(self):
         model = fit_reg_mimic(yz_dataset(n=500, seed=7), MimicConfig())
         assert np.all(model.laplace_scales > 0)
+
+
+class TestMlpRegressionMimic:
+    """The neural-net regressor, chosen explicitly or above ``TREES_MAX_Z``."""
+
+    FAST_MLP = MlpConfig(widths=(8,), epochs=3, loss="squared")
+
+    def test_deterministic_under_seed_and_x_z_pass_through(self):
+        d2 = yz_dataset(n=200, n_y=2, n_z=3, seed=21)
+        d3 = yz_dataset(n=150, n_y=2, n_z=3, seed=22)
+
+        def run(seed):
+            model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP, seed=seed))
+            assert model.net is not None and model.trees is None
+            return mimic_apply(model, d3, seed=5)
+
+        a, b, other = run(4), run(4), run(6)
+        assert np.array_equal(a.data, b.data)
+        assert not np.array_equal(a.y_block(), other.y_block())
+        assert np.array_equal(a.x_block(), d3.x_block())
+        assert np.array_equal(a.z_block(), d3.z_block())
+
+    def test_predict_mean_shape(self):
+        d2 = yz_dataset(n=200, n_y=2, n_z=3, seed=23)
+        model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP, seed=1))
+        assert model.predict_mean(yz_dataset(n=70, n_y=2, n_z=3, seed=24).z_block()).shape == (70, 2)
+
+    @pytest.mark.parametrize("n_z, uses_net", [(TREES_MAX_Z, False), (TREES_MAX_Z + 1, True)])
+    def test_auto_switches_to_mlp_above_trees_max_z(self, n_z, uses_net):
+        ds = yz_dataset(n=60, n_z=n_z, seed=25)
+        model = fit_reg_mimic(ds, MimicConfig(tree_rounds=2, mlp=self.FAST_MLP))
+        assert (model.net is not None) == uses_net
+        assert (model.trees is not None) == (not uses_net)
 
 
 class TestMimicApply:
@@ -129,7 +160,7 @@ class TestMimicApply:
 
     def test_uniform_kind_marginal(self):
         d2 = yz_dataset(n=500, seed=8)
-        model = fit_uniform_mimic(d2, padding=0.0)
+        model = fit_uniform_mimic(d2)
         d3 = yz_dataset(n=4000, seed=9)
         out = mimic_apply(model, d3, seed=10)
         y = out.y_block()[:, 0]
@@ -146,16 +177,9 @@ class TestUniformMimic:
         rng = derive_rng(1, "unif")
         y = rng.uniform(0, 1, size=(100, 1))
         ds = Dataset((), (Column("y_0"),), (Column("z_0"),), np.hstack([y, rng.standard_normal((100, 1))]))
-        model = fit_uniform_mimic(ds, padding=0.0)
+        model = fit_uniform_mimic(ds)
         assert model.bounds[0, 0] == y.min()
         assert model.bounds[0, 1] == y.max()
-
-    def test_padding_widens_each_side(self):
-        data = np.array([[0.0, 0.0], [2.0, 0.0]])
-        ds = Dataset((), (Column("y_0"),), (Column("z_0"),), data)
-        model = fit_uniform_mimic(ds, padding=0.05)
-        assert model.bounds[0, 0] == pytest.approx(-0.1)
-        assert model.bounds[0, 1] == pytest.approx(2.1)
 
     def test_constant_y_rejected(self):
         data = np.ones((50, 2))
