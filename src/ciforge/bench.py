@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Column, DEFAULT_SEED, Dataset, Relation
+from .core import DEFAULT_SEED, Dataset, Relation
 from .datagen import PostNonlinearConfig, gen_postnonlinear
 from .errors import SingleClass, UnknownColumn
 from .testkit import TestConfig, child_seed, ci_test
@@ -147,13 +147,9 @@ def project_relation(names, matrix: np.ndarray, cols: dict, rel: Relation) -> Da
             raise UnknownColumn(f"relation references unknown column {name!r}")
     index = {n: j for j, n in enumerate(names)}
 
-    def rebuilt(name: str, new_name: str) -> Column:
-        src = cols[name]
-        return Column(new_name, kind=src.kind, cardinality=src.cardinality)
-
-    x_cols = (rebuilt(rel.x, "x_0"),)
-    y_cols = (rebuilt(rel.y, "y_0"),)
-    z_cols = tuple(rebuilt(zn, f"z_{i}") for i, zn in enumerate(rel.z))
+    x_cols = (replace(cols[rel.x], name="x_0"),)
+    y_cols = (replace(cols[rel.y], name="y_0"),)
+    z_cols = tuple(replace(cols[zn], name=f"z_{i}") for i, zn in enumerate(rel.z))
     take = [index[rel.x], index[rel.y], *[index[zn] for zn in rel.z]]
     return Dataset(x_cols, y_cols, z_cols, matrix[:, take])
 

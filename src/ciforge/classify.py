@@ -23,9 +23,10 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   sequence is non-increasing by construction.
 
 Logistic regression (Newton/IRLS) and an MLP cover the baseline classifier
-kinds.  One Dataset-level wrapper scores all three: it looks the columns a
-model was trained on up by name, so a model trained without x columns
-never reads them and its predictions cannot depend on x.
+kinds.  One Dataset-level wrapper scores all three.  It addresses columns
+by position: a dataset is encoded only if its columns equal, in order, the
+ones the model was trained on, so a model trained without x columns accepts
+only rows without x and its predictions cannot depend on x.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import Column, Dataset, LabeledDataset
 from .errors import EmptyTest, SchemaMismatch, SingleClass
-from .nn import Mlp, MlpConfig, _sigmoid, mlp_train
+from .nn import Mlp, MlpConfig, _loss_value, _sigmoid, _standardize_stats, mlp_train
 
 ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
@@ -57,16 +58,6 @@ class FeatureEncoder:
 
     cols: tuple[Column, ...]
 
-    @property
-    def width(self) -> int:
-        total = 0
-        for c in self.cols:
-            if c.kind == "categorical" and c.cardinality <= ONE_HOT_CAP:
-                total += c.cardinality
-            else:
-                total += 1
-        return total
-
     def transform(self, block: np.ndarray) -> np.ndarray:
         block = np.atleast_2d(np.asarray(block, dtype=np.float64))
         if block.shape[1] != len(self.cols):
@@ -85,37 +76,6 @@ class FeatureEncoder:
         if not parts:
             return np.empty((block.shape[0], 0))
         return np.hstack(parts)
-
-
-def _resolve_columns(ds: Dataset, wanted: tuple[tuple[str, Column], ...]) -> np.ndarray:
-    """Gather the named columns from a dataset, segment by segment.
-
-    Extra columns in the dataset are ignored, which is what lets a model
-    trained on x-stripped data score full rows without ever touching x.
-    """
-    blocks = {"x": (ds.x_cols, ds.x_block()), "y": (ds.y_cols, ds.y_block()), "z": (ds.z_cols, ds.z_block())}
-    out = np.empty((ds.n_rows, len(wanted)))
-    for k, (segment, col) in enumerate(wanted):
-        cols, block = blocks[segment]
-        names = [c.name for c in cols]
-        try:
-            j = names.index(col.name)
-        except ValueError:
-            raise SchemaMismatch(f"dataset lacks {segment} column {col.name!r}") from None
-        found = cols[j]
-        if (found.kind, found.cardinality) != (col.kind, col.cardinality):
-            raise SchemaMismatch(f"column {col.name!r} kind changed since training")
-        out[:, k] = block[:, j]
-    return out
-
-
-def dataset_schema(ds: Dataset, include_x: bool) -> tuple[tuple[str, Column], ...]:
-    wanted: list[tuple[str, Column]] = []
-    if include_x:
-        wanted += [("x", c) for c in ds.x_cols]
-    wanted += [("y", c) for c in ds.y_cols]
-    wanted += [("z", c) for c in ds.z_cols]
-    return tuple(wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +240,7 @@ class _TreeBuilder:
 
 
 def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
-    per = np.logaddexp(0.0, -np.abs(margin)) + np.maximum(margin, 0.0) - margin * y
-    return float(per.mean())
+    return _loss_value(margin, y, "logistic")
 
 
 @dataclass
@@ -292,7 +251,6 @@ class BoostedTrees:
     best_round: int
     train_loss: list[float]
     val_loss: list[float]
-    config: GbtConfig
 
     def predict_margin(self, f: np.ndarray, rounds: int | None = None) -> np.ndarray:
         n_use = self.best_round if rounds is None else rounds
@@ -351,7 +309,7 @@ def fit_boosted_trees(
         train_loss.append(_logloss(margin, y))
         val_loss.append(_logloss(margin_val, yv))
     best_round = int(np.argmin(val_loss))
-    return BoostedTrees(trees, best_round, train_loss, val_loss, config)
+    return BoostedTrees(trees, best_round, train_loss, val_loss)
 
 
 def fit_boosted_regressor(
@@ -370,8 +328,7 @@ def fit_boosted_regressor(
         pred = pred + delta
         trees.append(tree)
         losses.append(float(np.mean((pred - y) ** 2)))
-    model = BoostedTrees(trees, len(trees), losses, losses, cfg)
-    return model
+    return BoostedTrees(trees, len(trees), losses, losses)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +360,7 @@ def fit_logreg(f: np.ndarray, y: np.ndarray, config: LogRegConfig) -> LogRegCore
     y = np.asarray(y, dtype=np.float64)
     if np.unique(y).size < 2:
         raise SingleClass("training labels contain a single class")
-    mean = f.mean(axis=0)
-    std = f.std(axis=0)
-    std[std < 1e-12] = 1.0
+    mean, std = _standardize_stats(f)
     fs = (f - mean) / std
     a = np.hstack([np.ones((fs.shape[0], 1)), fs])
     w = np.zeros(a.shape[1])
@@ -429,54 +384,63 @@ def fit_logreg(f: np.ndarray, y: np.ndarray, config: LogRegConfig) -> LogRegCore
 
 @dataclass
 class DatasetClassifier:
-    """A matrix-level classifier plus the column schema and encoder it was fit on.
+    """A matrix-level classifier plus the encoder of the columns it was fit on.
 
     ``core`` is a ``BoostedTrees``, ``LogRegCore`` or ``Mlp``; each scores
-    an encoded feature matrix with ``predict_score``.
+    an encoded feature matrix with ``predict_score``.  ``encoder.cols`` is
+    the training set's ``Dataset.columns``, and only a dataset with exactly
+    those columns, in that order, can be scored.
     """
 
     core: BoostedTrees | LogRegCore | Mlp
-    schema: tuple[tuple[str, Column], ...]
     encoder: FeatureEncoder
 
     def predict_score(self, ds: Dataset) -> np.ndarray:
-        return self.core.predict_score(self.encoder.transform(_resolve_columns(ds, self.schema)))
+        return self.core.predict_score(_features(self.encoder, ds))
 
 
-def _encode_train(train: LabeledDataset):
-    """Schema, encoder and encoded features of a training set with both classes."""
+def _features(encoder: FeatureEncoder, ds: Dataset) -> np.ndarray:
+    """Encoded feature matrix of a dataset whose columns are the encoder's."""
+    if ds.columns != encoder.cols:
+        raise SchemaMismatch(
+            f"dataset columns {[c.name for c in ds.columns]} do not match the model's "
+            f"{[c.name for c in encoder.cols]}"
+        )
+    return encoder.transform(ds.data)
+
+
+def _encode_train(train: LabeledDataset) -> tuple[FeatureEncoder, np.ndarray]:
+    """Encoder and encoded features of a training set with both classes."""
     if np.unique(train.labels).size < 2:
         raise SingleClass("training labels contain a single class")
-    schema = dataset_schema(train.base, include_x=True)
-    encoder = FeatureEncoder(tuple(c for _, c in schema))
-    return schema, encoder, encoder.transform(_resolve_columns(train.base, schema))
+    encoder = FeatureEncoder(train.base.columns)
+    return encoder, _features(encoder, train.base)
 
 
 def gbt_train(train: LabeledDataset, val: LabeledDataset, config: GbtConfig = GbtConfig()) -> DatasetClassifier:
     """Fit the boosted-tree classifier on a labeled dataset."""
-    schema, encoder, f_tr = _encode_train(train)
-    f_va = encoder.transform(_resolve_columns(val.base, schema))
-    booster = fit_boosted_trees(f_tr, train.labels, f_va, val.labels, config)
-    return DatasetClassifier(booster, schema, encoder)
+    encoder, f_tr = _encode_train(train)
+    booster = fit_boosted_trees(f_tr, train.labels, _features(encoder, val.base), val.labels, config)
+    return DatasetClassifier(booster, encoder)
 
 
 def logreg_train(
     train: LabeledDataset, val: LabeledDataset, config: LogRegConfig = LogRegConfig()
 ) -> DatasetClassifier:
     """Fit the logistic-regression baseline (validation set unused: convex fit)."""
-    schema, encoder, f_tr = _encode_train(train)
-    return DatasetClassifier(fit_logreg(f_tr, train.labels, config), schema, encoder)
+    encoder, f_tr = _encode_train(train)
+    return DatasetClassifier(fit_logreg(f_tr, train.labels, config), encoder)
 
 
 def mlp_classifier_train(
     train: LabeledDataset, val: LabeledDataset, config: MlpConfig = MlpConfig(widths=(32,), epochs=80, loss="logistic")
 ) -> DatasetClassifier:
     """Fit the MLP baseline with logistic loss (validation set unused)."""
-    schema, encoder, f_tr = _encode_train(train)
+    encoder, f_tr = _encode_train(train)
     if config.loss != "logistic":
         raise ValueError("classifier MLP must use logistic loss")
     net = mlp_train(f_tr, train.labels.astype(np.float64), config)
-    return DatasetClassifier(net, schema, encoder)
+    return DatasetClassifier(net, encoder)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ def _resolve_seed(args, file_cfg: dict) -> int:
         return args.seed
     if "seed" in file_cfg:
         return int(file_cfg["seed"])
+    tester = file_cfg.get("tester")
+    if isinstance(tester, dict) and "seed" in tester:
+        return int(tester["seed"])
     env = os.environ.get(SEED_ENV)
     if env is not None:
         return int(env)

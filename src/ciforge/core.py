@@ -278,24 +278,15 @@ def _read_sidecar(sidecar_path) -> dict:
 
 def read_dataset(path, sidecar_path=None) -> Dataset:
     """Read the prefixed-header Dataset CSV, applying sidecar column kinds."""
-    meta = _read_sidecar(sidecar_path)
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    groups: dict[str, list[Column]] = {"x": [], "y": [], "z": []}
-    for name in header:
-        prefix = name.split("_", 1)[0]
-        if prefix not in groups:
+    header, data, cols = read_table(path, sidecar_path)
+    groups: dict[str, list[int]] = {"x_": [], "y_": [], "z_": []}
+    for j, name in enumerate(header):
+        if name[:2] not in groups:
             raise SchemaMismatch(f"column {name!r} is not prefixed x_/y_/z_")
-        groups[prefix].append(_column_from_meta(name, meta))
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    # Reorder so x block comes first, then y, then z, preserving file order
-    # within each block.
-    idx = [j for j, n in enumerate(header) if n.startswith("x_")]
-    idx += [j for j, n in enumerate(header) if n.startswith("y_")]
-    idx += [j for j, n in enumerate(header) if n.startswith("z_")]
-    return Dataset(tuple(groups["x"]), tuple(groups["y"]), tuple(groups["z"]), data[:, idx])
+        groups[name[:2]].append(j)
+    # The x block comes first, then y, then z, each in file order.
+    x, y, z = (tuple(cols[header[j]] for j in groups[p]) for p in ("x_", "y_", "z_"))
+    return Dataset(x, y, z, data[:, groups["x_"] + groups["y_"] + groups["z_"]])
 
 
 def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str, Column]]:

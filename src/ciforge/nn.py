@@ -49,13 +49,7 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Raw output (pre-sigmoid for logistic loss)."""
-        h = (np.atleast_2d(x) - self.x_mean) / self.x_std
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = np.tanh(h)
-        return h
+        return _forward_cached(self, (np.atleast_2d(x) - self.x_mean) / self.x_std)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         out = self.forward(x)

@@ -32,7 +32,6 @@ from .classify import (
     mlp_classifier_train,
 )
 from .core import (
-    Column,
     DEFAULT_SEED,
     Dataset,
     LabeledDataset,
@@ -107,6 +106,10 @@ class TestConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.alpha is None and self.tau is None:
             raise ValueError("one of alpha or tau must be given")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.tau is not None and not self.tau >= 0.0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if abs(sum(self.tvs) - 1.0) > 1e-9 or any(f <= 0 for f in self.tvs):
             raise ValueError("tvs fractions must be positive and sum to 1")
 
@@ -138,19 +141,7 @@ class TestReport:
             raise AssertionError("decision is inconsistent with gap > tau")
 
     def to_dict(self) -> dict:
-        return {
-            "e1": self.e1,
-            "e2": self.e2,
-            "gap": self.gap,
-            "n_s": self.n_s,
-            "p_value": self.p_value,
-            "tau": self.tau,
-            "decision": self.decision,
-            "seed": self.seed,
-            "erm_bound": self.erm_bound,
-            "split_sizes": self.split_sizes,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -173,12 +164,6 @@ def stratified_three_split(labels: np.ndarray, fractions, rng: np.random.Generat
         parts[1].append(idx[n_t : n_t + n_v])
         parts[2].append(idx[n_t + n_v :])
     return tuple(np.concatenate(p) for p in parts)
-
-
-def _continuous_y(ds: Dataset) -> Dataset:
-    """Recast categorical y columns as continuous (codes are valid reals)."""
-    new_cols = tuple(Column(c.name) for c in ds.y_cols)
-    return Dataset(ds.x_cols, new_cols, ds.z_cols, ds.data)
 
 
 def _train_classifier(kind: str, train, val, config: TestConfig, seed: int):
@@ -208,9 +193,11 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
         model = fit_uniform_mimic(d2)
     d_prime = mimic_apply(model, d3, seed=child_seed(seed, "mimic-noise"))
 
-    d1_eff = d1 if d1.y_cols == d_prime.y_cols else _continuous_y(d1)
+    # The mimic decides the y column kinds (it emits a categorical y as
+    # continuous unless it samples codes), and d1 takes them over.
+    d1 = replace(d1, y_cols=d_prime.y_cols)
     labeled = concat(
-        LabeledDataset(d1_eff, np.ones(d1_eff.n_rows, dtype=np.int8)),
+        LabeledDataset(d1, np.ones(d1.n_rows, dtype=np.int8)),
         LabeledDataset(d_prime, np.zeros(d_prime.n_rows, dtype=np.int8)),
     )
 

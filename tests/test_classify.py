@@ -127,20 +127,32 @@ class TestDatasetClassifiers:
         assert err.n_test == 200
         assert err.error_rate == err.losses.mean()
 
-    def test_stripped_model_ignores_x_values(self):
-        """A model trained without x scores full rows through name lookup,
-        so arbitrary x values cannot change its predictions."""
-        rng = derive_rng(12, "stripped")
-        f = rng.standard_normal((600, 4))
-        y = (f[:, 3] > 0).astype(np.float64)  # depends on the y_0 column only
+    def test_x_free_model_rejects_rows_with_x(self):
+        """A model trained without x scores only rows without x, so x can
+        never reach its predictions."""
+        f, y = blob_problem(n=300, seed=12, d=4)
         lab = as_labeled(f, y)
-        train, val, test = lab.take(range(300)), lab.take(range(300, 450)), lab.take(range(450, 600))
-        model = gbt_train(strip_x(train), strip_x(val), GbtConfig(rounds=10))
-        scores_full = model.predict_score(test.base)
-        jittered = test.base.data.copy()
-        jittered[:, :3] = 999.0
-        test_jittered = Dataset(test.base.x_cols, test.base.y_cols, test.base.z_cols, jittered)
-        assert np.array_equal(scores_full, model.predict_score(test_jittered))
+        model = gbt_train(strip_x(lab.take(range(200))), strip_x(lab.take(range(200, 300))), GbtConfig(rounds=5))
+        with pytest.raises(SchemaMismatch):
+            model.predict_score(lab.base)
+        assert model.predict_score(drop_x(lab.base)).shape == (300,)
+
+    def test_changed_cardinality_raises(self):
+        rng = derive_rng(12, "cardinality")
+        data = np.column_stack([rng.standard_normal(300), rng.integers(0, 3, 300), rng.integers(0, 3, 300)])
+        y = (data[:, 1] + data[:, 0] > 1).astype(np.float64)
+        z3 = (Column("z_0", "categorical", 3),)
+        lab = LabeledDataset(Dataset((Column("x_0"),), (Column("y_0", "categorical", 3),), z3, data), y)
+        model = gbt_train(lab.take(range(200)), lab.take(range(200, 300)), GbtConfig(rounds=5))
+        wider = Dataset(lab.base.x_cols, lab.base.y_cols, (Column("z_0", "categorical", 4),), data)
+        with pytest.raises(SchemaMismatch):
+            model.predict_score(wider)
+
+    def test_gbt_rejects_validation_set_with_other_columns(self):
+        f, y = blob_problem(n=300, seed=12, d=3)
+        lab = as_labeled(f, y)
+        with pytest.raises(SchemaMismatch):
+            gbt_train(lab.take(range(200)), strip_x(lab.take(range(200, 300))), GbtConfig(rounds=5))
 
     def test_missing_column_raises(self):
         f, y = blob_problem(n=300, seed=13, d=3)

@@ -79,6 +79,29 @@ class TestTest:
         assert rep["tau"] == 0.9
         assert rep["decision"] == "H0"
 
+    @pytest.mark.parametrize("flags", [("--alpha", "2"), ("--tau", "-0.1")])
+    def test_out_of_range_threshold_exits_two(self, flags, h0_csv, capsys):
+        """alpha = 2 would give tau = 0 and a negative tau would decide H1
+        on any gap; both are refused before a report exists."""
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(h0_csv), *flags)
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr
+
+    def test_tester_seed_sets_master_seed(self, h0_csv, tmp_path, capsys, monkeypatch):
+        """A seed under tester is used when there is no --seed or top-level
+        seed, and wins over CIFORGE_SEED."""
+        monkeypatch.setenv("CIFORGE_SEED", "123")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tester": {"seed": 9}}))
+        _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
+        assert json.loads(out)["seed"] == 9
+        cfg.write_text(json.dumps({"seed": 5, "tester": {"seed": 9}}))
+        _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
+        assert json.loads(out)["seed"] == 5
+        _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg), "--seed", "4")
+        assert json.loads(out)["seed"] == 4
+
     @pytest.mark.parametrize("tester", [{"gbt": {"rounds": "5"}}, {"alpha": "0.05"}])
     def test_wrong_typed_config_value_exits_two(self, tester, h0_csv, tmp_path, capsys):
         """The value passes key validation and fails inside the test run;
@@ -107,6 +130,10 @@ class TestTest:
         cfg.write_text(json.dumps(echo))
         _, out_echo, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
         assert out_echo == out
+        # The echo alone carries the seed too, inside the tester object.
+        cfg.write_text(json.dumps({"tester": rep["config"]}))
+        _, out_bare, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
+        assert out_bare == out
 
 
 class TestBench:

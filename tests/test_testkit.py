@@ -183,6 +183,14 @@ class TestCiTest:
             TestConfig(alpha=None, tau=None)
         with pytest.raises(ValueError):
             TestConfig(tvs=(0.5, 0.2, 0.2))
+        for alpha in (0.0, 2.0, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                TestConfig(alpha=alpha)
+        for tau in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                TestConfig(alpha=None, tau=tau)
+        assert TestConfig(alpha=1.0).alpha == 1.0
+        assert TestConfig(alpha=None, tau=0.0).tau == 0.0
 
     def test_json_round_trip(self):
         import json
