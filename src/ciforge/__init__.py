@@ -12,7 +12,7 @@ the ``verify`` battery.
 """
 
 from .bench import BenchmarkConfig, BenchmarkReport, roc_auc, run_benchmark, run_relations
-from .classify import GbtConfig, LogRegConfig, classifier_error, gbt_train, logreg_train
+from .classify import GbtConfig, classifier_error, gbt_train
 from .core import (
     Column,
     DEFAULT_SEED,
@@ -34,7 +34,7 @@ from .datagen import (
     gen_postnonlinear,
     sample_discrete,
 )
-from .mimic import MimicConfig, MimicModel, fit_reg_mimic, fit_uniform_mimic, mimic_apply
+from .mimic import MimicConfig, MimicModel, fit_reg_mimic, mimic_apply
 from .nn import MlpConfig, mlp_grad_check, mlp_train
 from .oracle import (
     DiscreteDist,
@@ -49,7 +49,7 @@ from .oracle import (
     tv_distance,
     uniform_mimic_bound,
 )
-from .testkit import TestConfig, TestReport, ci_test, erm_excess_bound, gap_pvalue
+from .testkit import TestConfig, TestReport, ci_test, gap_pvalue
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "GapReport",
     "GbtConfig",
     "LabeledDataset",
-    "LogRegConfig",
     "MimicConfig",
     "MimicModel",
     "MlpConfig",
@@ -79,16 +78,13 @@ __all__ = [
     "classifier_error",
     "coupling_overlap",
     "coupling_overlap_table",
-    "erm_excess_bound",
     "fit_reg_mimic",
-    "fit_uniform_mimic",
     "gap_pvalue",
     "gap_report",
     "gbt_train",
     "gen_discrete_joint",
     "gen_postnonlinear",
     "is_ci",
-    "logreg_train",
     "mimic_apply",
     "mlp_grad_check",
     "mlp_train",

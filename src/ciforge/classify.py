@@ -22,9 +22,8 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   until it does not (deterministic backoff), so the per-round training-loss
   sequence is non-increasing by construction.
 
-Logistic regression (Newton/IRLS) and an MLP cover the baseline classifier
-kinds.  One Dataset-level wrapper scores all three.  It addresses columns
-by position: a dataset is encoded only if its columns equal, in order, the
+A Dataset-level wrapper scores the ensemble.  It addresses columns by
+position: a dataset is encoded only if its columns equal, in order, the
 ones the model was trained on, so a model trained without x columns accepts
 only rows without x and its predictions cannot depend on x.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from .core import Column, Dataset, LabeledDataset
 from .errors import EmptyTest, SchemaMismatch, SingleClass
-from .nn import Mlp, MlpConfig, _loss_value, _sigmoid, _standardize_stats, mlp_train
+from .nn import _loss_value, _sigmoid
 
 ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
@@ -90,6 +89,18 @@ class GbtConfig:
     learning_rate: float = 0.1
     l2: float = 1.0
     min_child_weight: float = 1.0
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.l2 >= 0.0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not self.min_child_weight >= 0.0:
+            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
 
 
 @dataclass
@@ -332,67 +343,19 @@ def fit_boosted_regressor(
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogRegConfig:
-    max_iter: int = 50
-    tol: float = 1e-10
-    ridge: float = 1e-6
-
-
-@dataclass
-class LogRegCore:
-    coef: np.ndarray
-    intercept: float
-    x_mean: np.ndarray
-    x_std: np.ndarray
-
-    def predict_score(self, f: np.ndarray) -> np.ndarray:
-        fs = (f - self.x_mean) / self.x_std
-        return _sigmoid(fs @ self.coef + self.intercept)
-
-
-def fit_logreg(f: np.ndarray, y: np.ndarray, config: LogRegConfig) -> LogRegCore:
-    """Newton/IRLS with a small ridge; deterministic and seed-free."""
-    y = np.asarray(y, dtype=np.float64)
-    if np.unique(y).size < 2:
-        raise SingleClass("training labels contain a single class")
-    mean, std = _standardize_stats(f)
-    fs = (f - mean) / std
-    a = np.hstack([np.ones((fs.shape[0], 1)), fs])
-    w = np.zeros(a.shape[1])
-    for _ in range(config.max_iter):
-        m = a @ w
-        p = _sigmoid(m)
-        grad = a.T @ (p - y) + config.ridge * w
-        r = np.clip(p * (1.0 - p), 1e-9, None)
-        hess = (a * r[:, None]).T @ a + config.ridge * np.eye(a.shape[1])
-        step = np.linalg.solve(hess, grad)
-        w = w - step
-        if float(np.abs(step).max()) < config.tol:
-            break
-    return LogRegCore(coef=w[1:], intercept=float(w[0]), x_mean=mean, x_std=std)
-
-
-# ---------------------------------------------------------------------------
-# Dataset-level classifier wrappers
+# Dataset-level classifier wrapper
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DatasetClassifier:
-    """A matrix-level classifier plus the encoder of the columns it was fit on.
+    """A boosted ensemble plus the encoder of the columns it was fit on.
 
-    ``core`` is a ``BoostedTrees``, ``LogRegCore`` or ``Mlp``; each scores
-    an encoded feature matrix with ``predict_score``.  ``encoder.cols`` is
-    the training set's ``Dataset.columns``, and only a dataset with exactly
-    those columns, in that order, can be scored.
+    ``encoder.cols`` is the training set's ``Dataset.columns``, and only a
+    dataset with exactly those columns, in that order, can be scored.
     """
 
-    core: BoostedTrees | LogRegCore | Mlp
+    core: BoostedTrees
     encoder: FeatureEncoder
 
     def predict_score(self, ds: Dataset) -> np.ndarray:
@@ -409,38 +372,12 @@ def _features(encoder: FeatureEncoder, ds: Dataset) -> np.ndarray:
     return encoder.transform(ds.data)
 
 
-def _encode_train(train: LabeledDataset) -> tuple[FeatureEncoder, np.ndarray]:
-    """Encoder and encoded features of a training set with both classes."""
-    if np.unique(train.labels).size < 2:
-        raise SingleClass("training labels contain a single class")
-    encoder = FeatureEncoder(train.base.columns)
-    return encoder, _features(encoder, train.base)
-
-
 def gbt_train(train: LabeledDataset, val: LabeledDataset, config: GbtConfig = GbtConfig()) -> DatasetClassifier:
     """Fit the boosted-tree classifier on a labeled dataset."""
-    encoder, f_tr = _encode_train(train)
-    booster = fit_boosted_trees(f_tr, train.labels, _features(encoder, val.base), val.labels, config)
+    encoder = FeatureEncoder(train.base.columns)
+    f_tr, f_val = _features(encoder, train.base), _features(encoder, val.base)
+    booster = fit_boosted_trees(f_tr, train.labels, f_val, val.labels, config)
     return DatasetClassifier(booster, encoder)
-
-
-def logreg_train(
-    train: LabeledDataset, val: LabeledDataset, config: LogRegConfig = LogRegConfig()
-) -> DatasetClassifier:
-    """Fit the logistic-regression baseline (validation set unused: convex fit)."""
-    encoder, f_tr = _encode_train(train)
-    return DatasetClassifier(fit_logreg(f_tr, train.labels, config), encoder)
-
-
-def mlp_classifier_train(
-    train: LabeledDataset, val: LabeledDataset, config: MlpConfig = MlpConfig(widths=(32,), epochs=80, loss="logistic")
-) -> DatasetClassifier:
-    """Fit the MLP baseline with logistic loss (validation set unused)."""
-    encoder, f_tr = _encode_train(train)
-    if config.loss != "logistic":
-        raise ValueError("classifier MLP must use logistic loss")
-    net = mlp_train(f_tr, train.labels.astype(np.float64), config)
-    return DatasetClassifier(net, encoder)
 
 
 @dataclass(frozen=True)

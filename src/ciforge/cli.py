@@ -21,7 +21,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bench import BenchmarkConfig, run_benchmark, run_relations, write_scores_csv
-from .classify import GbtConfig, LogRegConfig
+from .classify import GbtConfig
 from .core import (
     DEFAULT_SEED,
     read_dataset,
@@ -65,7 +65,7 @@ def _load_config(args) -> dict:
 
 # Config fields that are themselves config objects, built from nested JSON.
 _NESTED = {
-    TestConfig: {"mimic_config": MimicConfig, "gbt": GbtConfig, "mlp": MlpConfig, "logreg": LogRegConfig},
+    TestConfig: {"mimic_config": MimicConfig, "gbt": GbtConfig},
     MimicConfig: {"mlp": MlpConfig},
 }
 
@@ -87,10 +87,6 @@ def _config_kwargs(cls, given, where: str) -> dict:
 
 def _tester_from(args, file_cfg: dict) -> TestConfig:
     kwargs = _config_kwargs(TestConfig, file_cfg.get("tester", {}), "tester")
-    for flag in ("mimic", "classifier"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            kwargs[flag] = v
     if getattr(args, "tau", None) is not None:
         kwargs["tau"] = args.tau
         kwargs.setdefault("alpha", None)
@@ -118,8 +114,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_tester_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="significance level (sets the threshold)")
     p.add_argument("--tau", type=float, help="raw decision threshold (overrides alpha)")
-    p.add_argument("--mimic", choices=["reg", "uniform"])
-    p.add_argument("--classifier", choices=["gbt", "mlp", "logreg"])
 
 
 def _cmd_gen(args) -> int:

@@ -231,7 +231,8 @@ def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
 #
 # Dataset CSV: header names prefixed x_/y_/z_; optional sidecar JSON
 #   {"columns": {"z_1": {"kind": "categorical", "cardinality": 3}}}
-# maps column names to kinds.  Absent sidecar means all continuous.
+# maps column names to kinds.  Absent sidecar means all continuous; a
+# sidecar path that is given must exist and name only columns of the CSV.
 # Cell values are written with repr() so finite floats round-trip bit-exactly.
 
 
@@ -271,8 +272,8 @@ def _read_sidecar(sidecar_path) -> dict:
     if sidecar_path is None:
         return {}
     p = Path(sidecar_path)
-    if not p.exists():
-        return {}
+    if not p.is_file():
+        raise SchemaMismatch(f"sidecar {str(p)!r} does not exist")
     return json.loads(p.read_text()).get("columns", {})
 
 
@@ -301,6 +302,9 @@ def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader if row]
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    unknown = sorted(set(meta) - set(header))
+    if unknown:
+        raise SchemaMismatch(f"sidecar names column(s) the CSV lacks: {', '.join(unknown)}")
     cols = {name: _column_from_meta(name, meta) for name in header}
     return list(header), data, cols
 

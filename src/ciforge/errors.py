@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception types shared across the toolkit."""
 
 
 class CiforgeError(Exception):
@@ -45,13 +45,5 @@ class EmptyTest(CiforgeError):
     """Cannot score a classifier on an empty test set."""
 
 
-class DegenerateRange(CiforgeError):
-    """A column has zero observed range where a positive one is required."""
-
-
 class UnknownColumn(CiforgeError):
     """A relation references a column that does not exist in the data."""
-
-
-class MimicSupportWarning(UserWarning):
-    """The requested mimic cannot guarantee support overlap for this data."""

@@ -8,10 +8,6 @@ otherwise.  Both noise families have full support, so the mimicked
 conditional is positive wherever the true one is, which is the support
 condition the downstream test relies on.
 
-The uniform mimic ignores z entirely and draws y uniformly inside the
-observed range, the simplest conditional with a provable gap bound for
-bounded scalar y.
-
 Mimicked y columns are emitted as continuous even when the source y was
 categorical (codes plus continuous noise).  A frequency-table mimic that
 preserves categorical y exactly is available behind
@@ -21,14 +17,13 @@ from the empirical conditional per bin.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classify import BoostedTrees, FeatureEncoder, fit_boosted_regressor
 from .core import Column, Dataset, derive_rng
-from .errors import DegenerateRange, MimicSupportWarning, SchemaMismatch, TooFewRows
+from .errors import SchemaMismatch, TooFewRows
 from .nn import Mlp, MlpConfig, mlp_train
 
 #: Switch from boosted trees to an MLP regressor above this z width.
@@ -48,18 +43,23 @@ class MimicConfig:
     tree_depth: int = 3  # depth 1 = boosted stumps
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100, loss="squared"))
     categorical_table: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.regressor not in ("auto", "trees", "mlp"):
             raise ValueError(f"unknown regressor {self.regressor!r}")
+        if self.tree_rounds < 1:
+            raise ValueError(f"tree_rounds must be >= 1, got {self.tree_rounds}")
+        if not self.tree_lr > 0.0:
+            raise ValueError(f"tree_lr must be > 0, got {self.tree_lr}")
+        if self.tree_depth < 1:
+            raise ValueError(f"tree_depth must be >= 1, got {self.tree_depth}")
 
 
 @dataclass
 class MimicModel:
     """Fitted generator of y-hat given z."""
 
-    kind: str  # "regression" | "uniform" | "table"
+    kind: str  # "regression" | "table"
     y_cols: tuple[Column, ...]
     z_cols: tuple[Column, ...]
     encoder: FeatureEncoder | None = None
@@ -67,7 +67,6 @@ class MimicModel:
     net: Mlp | None = None
     chol: np.ndarray | None = None
     laplace_scales: np.ndarray | None = None
-    bounds: np.ndarray | None = None  # (n_y, 2) for the uniform kind
     bin_cols: tuple[int, ...] = ()
     bin_edges: list[np.ndarray] = field(default_factory=list)
     tables: list[dict] = field(default_factory=list)
@@ -92,8 +91,11 @@ def _check_z_schema(model: MimicModel, ds: Dataset) -> None:
         raise SchemaMismatch("y width of the dataset does not match the fitted mimic")
 
 
-def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicModel:
+def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 0) -> MimicModel:
     """Fit the regression mimic on the (y, z) blocks of ``d2``.
+
+    ``seed`` drives the MLP regressor's initialization and batch order; the
+    boosted trees and the table mimic are seed-free.
 
     Residual moments are measured in-sample on the fit fold.  A flexible
     regressor absorbs some noise there, so the moments run a little tight,
@@ -113,7 +115,7 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicMode
 
     net, trees = None, None
     if config.regressor == "mlp" or (config.regressor == "auto" and d2.n_z > TREES_MAX_Z):
-        net = mlp_train(zf, y, replace(config.mlp, loss="squared", seed=config.seed))
+        net = mlp_train(zf, y, replace(config.mlp, loss="squared", seed=seed))
     else:
         trees = [
             fit_boosted_regressor(
@@ -141,27 +143,6 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig()) -> MimicMode
         net=net,
         chol=chol,
         laplace_scales=scales,
-    )
-
-
-def fit_uniform_mimic(d2: Dataset) -> MimicModel:
-    """Per-coordinate uniform bounds over the observed y range."""
-    if any(c.kind == "categorical" for c in d2.y_cols):
-        warnings.warn(
-            "uniform mimic on categorical y treats codes as a continuous range",
-            MimicSupportWarning,
-        )
-    y = d2.y_block()
-    lo = y.min(axis=0)
-    hi = y.max(axis=0)
-    if np.any(hi <= lo):
-        k = int(np.argmax(hi <= lo))
-        raise DegenerateRange(f"y column {d2.y_cols[k].name!r} is constant")
-    return MimicModel(
-        kind="uniform",
-        y_cols=d2.y_cols,
-        z_cols=d2.z_cols,
-        bounds=np.column_stack([lo, hi]),
     )
 
 
@@ -240,9 +221,6 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
         gauss = rng.standard_normal((n, n_y)) @ model.chol.T
         lap = rng.laplace(0.0, model.laplace_scales, size=(n, n_y))
         y_hat = base + np.where(use_gauss[:, None], gauss, lap)
-        new_cols = tuple(Column(c.name) for c in model.y_cols)
-    elif model.kind == "uniform":
-        y_hat = rng.uniform(model.bounds[:, 0], model.bounds[:, 1], size=(n, n_y))
         new_cols = tuple(Column(c.name) for c in model.y_cols)
     elif model.kind == "table":
         bins = _bin_ids(d3.z_block(), model.z_cols, model.bin_cols, model.bin_edges)

@@ -1,8 +1,9 @@
 """Minimal multilayer perceptron with backpropagation.
 
-Shared numeric engine for the regression mimic and the MLP classifier:
-tanh hidden layers, identity output for squared loss or logistic output for
-binary cross-entropy, mini-batch SGD with a fixed learning rate.  No
+Numeric engine of the regression mimic's MLP regressor: tanh hidden
+layers, identity output for squared loss or logistic output for binary
+cross-entropy, mini-batch SGD with a fixed learning rate.  The boosted
+trees score their logistic loss with ``_loss_value`` as well.  No
 adaptive optimizers; determinism under a seed is part of the contract.
 
 Feature standardization (mean/std of the training split) is fitted inside
@@ -34,6 +35,12 @@ class MlpConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if any(w < 1 for w in self.widths):
             raise ValueError("hidden widths must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -56,10 +63,6 @@ class Mlp:
         if self.loss == "logistic":
             return _sigmoid(out)
         return out
-
-    def predict_score(self, x: np.ndarray) -> np.ndarray:
-        """1-D score of a one-output net: the first column of ``predict``."""
-        return self.predict(x)[:, 0]
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

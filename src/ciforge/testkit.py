@@ -1,9 +1,9 @@
 """End-to-end conditional-independence test.
 
 One call runs the whole pipeline: split the sample into thirds, fit the
-mimic on the second third's (y, z), rewrite the third third's y column,
-label mimicked rows 0 and untouched first-third rows 1, train one
-classifier without x and one with x on a shared stratified
+regression mimic on the second third's (y, z), rewrite the third third's
+y column, label mimicked rows 0 and untouched first-third rows 1, train one
+boosted-tree classifier without x and one with x on a shared stratified
 train/validation/test split, and decide from the difference of their test
 errors.
 
@@ -23,14 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classify import (
-    GbtConfig,
-    LogRegConfig,
-    classifier_error,
-    gbt_train,
-    logreg_train,
-    mlp_classifier_train,
-)
+from .classify import GbtConfig, classifier_error, gbt_train
 from .core import (
     DEFAULT_SEED,
     Dataset,
@@ -41,12 +34,7 @@ from .core import (
     strip_x,
 )
 from .errors import SchemaMismatch, TooFewRows
-from .mimic import MimicConfig, fit_reg_mimic, fit_uniform_mimic, mimic_apply
-from .nn import MlpConfig
-
-
-#: Failure probability of the reported ERM excess-error bound.
-ERM_DELTA = 0.05
+from .mimic import MimicConfig, fit_reg_mimic, mimic_apply
 
 
 def child_seed(seed: int, label: str) -> int:
@@ -67,43 +55,20 @@ def gap_pvalue(gap: float, n_s: int) -> float:
     return max(min(1.0, 2.0 * math.exp(-n_s * gap * gap / 2.0)), sys.float_info.min)
 
 
-def erm_excess_bound(d_vc: int, n_t: int, delta: float, c: float = 1.0) -> float:
-    """High-probability excess-error bound for an ERM classifier.
-
-    c * sqrt(d_vc / n_t) + sqrt(2 ln(1/delta) / n_t); holds with
-    probability at least 1 - delta.  The leading constant is not pinned by
-    theory, so it is exposed as ``c`` (reporting only).
-    """
-    if d_vc < 1 or n_t < 1:
-        raise ValueError("d_vc and n_t must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return c * math.sqrt(d_vc / n_t) + math.sqrt(2.0 * math.log(1.0 / delta) / n_t)
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Configuration for one conditional-independence test."""
 
     __test__ = False  # keep pytest from collecting the Test* name
 
-    mimic: str = "reg"  # "reg" | "uniform"
-    classifier: str = "gbt"  # "gbt" | "mlp" | "logreg"
     alpha: float | None = 0.05
     tau: float | None = None
     seed: int = DEFAULT_SEED
     tvs: tuple[float, float, float] = (0.5, 0.25, 0.25)
     mimic_config: MimicConfig = field(default_factory=MimicConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
-    mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=80, loss="logistic"))
-    logreg: LogRegConfig = field(default_factory=LogRegConfig)
-    vc_dim: int | None = None
 
     def __post_init__(self):
-        if self.mimic not in ("reg", "uniform"):
-            raise ValueError(f"unknown mimic kind {self.mimic!r}")
-        if self.classifier not in ("gbt", "mlp", "logreg"):
-            raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.alpha is None and self.tau is None:
             raise ValueError("one of alpha or tau must be given")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
@@ -128,7 +93,6 @@ class TestReport:
     tau: float
     decision: str
     seed: int
-    erm_bound: float | None
     split_sizes: dict
     config: dict
 
@@ -166,14 +130,6 @@ def stratified_three_split(labels: np.ndarray, fractions, rng: np.random.Generat
     return tuple(np.concatenate(p) for p in parts)
 
 
-def _train_classifier(kind: str, train, val, config: TestConfig, seed: int):
-    if kind == "gbt":
-        return gbt_train(train, val, config.gbt)
-    if kind == "mlp":
-        return mlp_classifier_train(train, val, replace(config.mlp, seed=seed))
-    return logreg_train(train, val, config.logreg)
-
-
 def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     """Run the full mimic-and-classify test on one dataset."""
     if ds.n_rows < 60:
@@ -187,10 +143,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     d2 = ds.take(plan.thirds[1])
     d3 = ds.take(plan.thirds[2])
 
-    if config.mimic == "reg":
-        model = fit_reg_mimic(d2, replace(config.mimic_config, seed=child_seed(seed, "mimic-fit")))
-    else:
-        model = fit_uniform_mimic(d2)
+    model = fit_reg_mimic(d2, config.mimic_config, seed=child_seed(seed, "mimic-fit"))
     d_prime = mimic_apply(model, d3, seed=child_seed(seed, "mimic-noise"))
 
     # The mimic decides the y column kinds (it emits a categorical y as
@@ -205,10 +158,8 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     idx_t, idx_v, idx_s = stratified_three_split(labeled.labels, config.tvs, rng)
     part_t, part_v, part_s = labeled.take(idx_t), labeled.take(idx_v), labeled.take(idx_s)
 
-    f1 = _train_classifier(
-        config.classifier, strip_x(part_t), strip_x(part_v), config, child_seed(seed, "clf-f1")
-    )
-    f2 = _train_classifier(config.classifier, part_t, part_v, config, child_seed(seed, "clf-f2"))
+    f1 = gbt_train(strip_x(part_t), strip_x(part_v), config.gbt)
+    f2 = gbt_train(part_t, part_v, config.gbt)
 
     err1 = classifier_error(f1, strip_x(part_s))
     err2 = classifier_error(f2, part_s)
@@ -220,10 +171,6 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     n_s = err1.n_test
     tau = config.tau if config.tau is not None else math.sqrt(2.0 * math.log(2.0 / config.alpha) / n_s)
     p_value = gap_pvalue(gap, n_s)
-    erm = None
-    if config.vc_dim is not None:
-        erm = erm_excess_bound(config.vc_dim, part_t.n_rows, ERM_DELTA)
-
     cfg_echo = asdict(config)
     return TestReport(
         e1=err1.error_rate,
@@ -234,7 +181,6 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
         tau=float(tau),
         decision="H1" if gap > tau else "H0",
         seed=seed,
-        erm_bound=erm,
         split_sizes={
             "d1": d1.n_rows,
             "d2": d2.n_rows,

@@ -13,6 +13,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture()
+def h0_csv(tmp_path, capsys):
+    out = tmp_path / "h0.csv"
+    run_cli(
+        capsys, "gen", "--kind", "discrete", "--sizes", "3,3,3", "--ci", "--n", "240",
+        "--data-out", str(out), "--seed", "31",
+    )
+    return out
+
+
 class TestGen:
     def test_writes_csv_sidecar_manifest(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
@@ -42,15 +52,6 @@ class TestGen:
 
 
 class TestTest:
-    @pytest.fixture()
-    def h0_csv(self, tmp_path, capsys):
-        out = tmp_path / "h0.csv"
-        run_cli(
-            capsys, "gen", "--kind", "discrete", "--sizes", "3,3,3", "--ci", "--n", "240",
-            "--data-out", str(out), "--seed", "31",
-        )
-        return out
-
     def test_h0_data_exits_zero_with_report(self, h0_csv, capsys, tmp_path):
         report_path = tmp_path / "rep.json"
         code, stdout, stderr = run_cli(
@@ -104,14 +105,28 @@ class TestTest:
 
     @pytest.mark.parametrize("tester", [{"gbt": {"rounds": "5"}}, {"alpha": "0.05"}])
     def test_wrong_typed_config_value_exits_two(self, tester, h0_csv, tmp_path, capsys):
-        """The value passes key validation and fails inside the test run;
-        exit 1 would read as "decided H1"."""
+        """The value passes key validation and fails when the config checks
+        its range; exit 1 would read as "decided H1"."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tester": tester}))
         code, stdout, stderr = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
         assert code == 2
         assert stdout == ""
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("sidecar", ["typo.json", "extra.json"])
+    def test_bad_sidecar_exits_two(self, sidecar, h0_csv, tmp_path, capsys):
+        """A sidecar that is missing, or that names a column the CSV lacks,
+        would otherwise read every categorical column as continuous."""
+        meta = json.loads((tmp_path / "h0.csv.meta.json").read_text())
+        meta["columns"]["z_9"] = {"kind": "categorical", "cardinality": 3}
+        (tmp_path / "extra.json").write_text(json.dumps(meta))
+        code, stdout, stderr = run_cli(
+            capsys, "test", "--data", str(h0_csv), "--sidecar", str(tmp_path / sidecar)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "sidecar" in stderr
 
     def test_config_echo_round_trips(self, h0_csv, tmp_path, capsys):
         """A report's config echo, fed back as --config, rebuilds the same
@@ -239,6 +254,12 @@ class TestUsage:
         code = main(["test", "--data", "/nonexistent/nowhere.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--classifier", "gbt"), ("--mimic", "reg")])
+    def test_removed_flag_exits_two(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--data", "x.csv", *flags])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -249,14 +270,29 @@ class TestUsage:
             {"tester": {"gbt": 5}},
             {"tester": []},
             [],
+            {"tester": {"gbt": {"rounds": -1}}},
+            {"tester": {"gbt": {"max_depth": -2}}},
+            {"tester": {"gbt": {"learning_rate": -0.1}}},
+            {"tester": {"gbt": {"learning_rate": float("nan")}}},
+            {"tester": {"gbt": {"l2": -1.0}}},
+            {"tester": {"gbt": {"min_child_weight": -1.0}}},
+            {"tester": {"mimic_config": {"tree_rounds": -5}}},
+            {"tester": {"mimic_config": {"tree_lr": 0.0}}},
+            {"tester": {"mimic_config": {"tree_depth": 0}}},
+            {"tester": {"mimic_config": {"mlp": {"epochs": -1}}}},
+            {"tester": {"mimic_config": {"mlp": {"batch": 0}}}},
+            {"tester": {"mimic_config": {"mlp": {"lr": -0.05}}}},
         ],
     )
-    def test_malformed_config_exits_two(self, config, tmp_path, capsys):
-        """Exit 1 means "decided H1", so a bad config must never produce it."""
+    def test_malformed_config_exits_two(self, config, h0_csv, tmp_path, capsys):
+        """Exit 1 means "decided H1", so a bad config must never produce it;
+        nor may it run and decide H0.  The data is valid, so only the
+        config can fail."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, _, stderr = run_cli(capsys, "test", "--data", str(tmp_path / "unused.csv"), "--config", str(cfg))
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg))
         assert code == 2
+        assert stdout == ""
         assert "error:" in stderr
 
     @pytest.mark.parametrize(
@@ -269,6 +305,12 @@ class TestUsage:
             {"logreg": {"seed": 0}},
             {"mimic_config": {"crossfit_residuals": False}},
             {"mimic_config": {"gaussian_prob": 0.3}},
+            {"classifier": "gbt"},
+            {"mimic": "reg"},
+            {"mlp": {}},
+            {"logreg": {}},
+            {"vc_dim": 50},
+            {"mimic_config": {"seed": 5}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):
@@ -279,11 +321,12 @@ class TestUsage:
         assert "unknown key" in stderr
 
     def test_nested_config_objects_are_built(self):
+        from ciforge.classify import GbtConfig
         from ciforge.cli import _tester_from, build_parser
         from ciforge.nn import MlpConfig
 
         args = build_parser().parse_args(["test", "--data", "unused.csv"])
-        file_cfg = {"tester": {"mlp": {"widths": [3, 2]}, "mimic_config": {"mlp": {"widths": [4], "epochs": 2}}}}
+        file_cfg = {"tester": {"gbt": {"rounds": 7}, "mimic_config": {"mlp": {"widths": [4], "epochs": 2}}}}
         cfg = _tester_from(args, file_cfg)
-        assert cfg.mlp == MlpConfig(widths=(3, 2))
+        assert cfg.gbt == GbtConfig(rounds=7)
         assert cfg.mimic_config.mlp == MlpConfig(widths=(4,), epochs=2)

@@ -191,3 +191,11 @@ def test_derive_rng_streams():
     c = derive_rng(1, "beta").standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_every_public_name_resolves():
+    import ciforge
+
+    assert len(set(ciforge.__all__)) == len(ciforge.__all__)
+    for name in ciforge.__all__:
+        assert getattr(ciforge, name) is not None, name

@@ -1,4 +1,4 @@
-"""Mimic stage: regression + residual noise, uniform bounds, table mimic."""
+"""Mimic stage: regression + residual noise, table mimic."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciforge.core import Column, Dataset, derive_rng
-from ciforge.errors import DegenerateRange, MimicSupportWarning, SchemaMismatch, TooFewRows
+from ciforge.errors import SchemaMismatch, TooFewRows
 from ciforge.mimic import (
     TREES_MAX_Z,
     MimicConfig,
     _inverse_cdf,
     fit_reg_mimic,
-    fit_uniform_mimic,
     mimic_apply,
     noise_density,
 )
@@ -64,8 +63,8 @@ class TestFitRegMimic:
 
     def test_deterministic(self):
         ds = yz_dataset(n=200, seed=5)
-        a = fit_reg_mimic(ds, MimicConfig(seed=9))
-        b = fit_reg_mimic(ds, MimicConfig(seed=9))
+        a = fit_reg_mimic(ds, MimicConfig(), seed=9)
+        b = fit_reg_mimic(ds, MimicConfig(), seed=9)
         assert np.array_equal(a.chol, b.chol)
         assert np.array_equal(a.laplace_scales, b.laplace_scales)
 
@@ -88,7 +87,7 @@ class TestMlpRegressionMimic:
         d3 = yz_dataset(n=150, n_y=2, n_z=3, seed=22)
 
         def run(seed):
-            model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP, seed=seed))
+            model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP), seed=seed)
             assert model.net is not None and model.trees is None
             return mimic_apply(model, d3, seed=5)
 
@@ -100,7 +99,7 @@ class TestMlpRegressionMimic:
 
     def test_predict_mean_shape(self):
         d2 = yz_dataset(n=200, n_y=2, n_z=3, seed=23)
-        model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP, seed=1))
+        model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP), seed=1)
         assert model.predict_mean(yz_dataset(n=70, n_y=2, n_z=3, seed=24).z_block()).shape == (70, 2)
 
     @pytest.mark.parametrize("n_z, uses_net", [(TREES_MAX_Z, False), (TREES_MAX_Z + 1, True)])
@@ -158,41 +157,6 @@ class TestMimicApply:
         sd = d2.y_block().std() / np.sqrt(d3.n_rows)
         assert abs(out.y_block().mean() - mean_y) < 5 * sd
 
-    def test_uniform_kind_marginal(self):
-        d2 = yz_dataset(n=500, seed=8)
-        model = fit_uniform_mimic(d2)
-        d3 = yz_dataset(n=4000, seed=9)
-        out = mimic_apply(model, d3, seed=10)
-        y = out.y_block()[:, 0]
-        lo, hi = model.bounds[0]
-        assert y.min() >= lo and y.max() <= hi
-        # roughly uniform: each quartile of the range holds ~25%
-        edges = np.linspace(lo, hi, 5)
-        frac = np.histogram(y, bins=edges)[0] / y.size
-        assert float(np.abs(frac - 0.25).max()) < 0.04
-
-
-class TestUniformMimic:
-    def test_bounds_no_padding(self):
-        rng = derive_rng(1, "unif")
-        y = rng.uniform(0, 1, size=(100, 1))
-        ds = Dataset((), (Column("y_0"),), (Column("z_0"),), np.hstack([y, rng.standard_normal((100, 1))]))
-        model = fit_uniform_mimic(ds)
-        assert model.bounds[0, 0] == y.min()
-        assert model.bounds[0, 1] == y.max()
-
-    def test_constant_y_rejected(self):
-        data = np.ones((50, 2))
-        ds = Dataset((), (Column("y_0"),), (Column("z_0"),), data)
-        with pytest.raises(DegenerateRange):
-            fit_uniform_mimic(ds)
-
-    def test_categorical_y_warns(self):
-        data = np.column_stack([np.arange(30) % 3, np.zeros(30)]).astype(float)
-        ds = Dataset((), (Column("y_0", "categorical", 3),), (Column("z_0"),), data)
-        with pytest.warns(MimicSupportWarning):
-            fit_uniform_mimic(ds)
-
 
 class TestNoiseDensity:
     def test_positive_at_random_points(self):
@@ -212,8 +176,10 @@ class TestNoiseDensity:
         dens = noise_density(model, pts)
         assert np.all(dens > 0)
 
-    def test_uniform_kind_has_no_noise_density(self):
-        model = fit_uniform_mimic(yz_dataset(n=100, seed=11))
+    def test_table_kind_has_no_noise_density(self):
+        data = np.column_stack([np.arange(60) % 2, np.arange(60) % 3]).astype(float)
+        ds = Dataset((), (Column("y_0", "categorical", 2),), (Column("z_0", "categorical", 3),), data)
+        model = fit_reg_mimic(ds, MimicConfig(categorical_table=True))
         with pytest.raises(ValueError):
             noise_density(model, np.zeros((1, 1)))
 

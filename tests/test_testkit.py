@@ -1,4 +1,4 @@
-"""End-to-end test orchestration, p-values, and the ERM bound."""
+"""End-to-end test orchestration and p-values."""
 
 import math
 
@@ -13,7 +13,6 @@ from ciforge.errors import SchemaMismatch, TooFewRows
 from ciforge.testkit import (
     TestConfig,
     ci_test,
-    erm_excess_bound,
     gap_pvalue,
     stratified_three_split,
 )
@@ -47,29 +46,6 @@ class TestGapPvalue:
             gap_pvalue(1.5, 10)
         with pytest.raises(ValueError):
             gap_pvalue(0.5, 0)
-
-
-class TestErmBound:
-    def test_known_value(self):
-        # sqrt(10/1000) + sqrt(2 ln(20) / 1000) = 0.1 + 0.07741...
-        val = erm_excess_bound(10, 1000, 0.05, 1.0)
-        assert val == pytest.approx(0.1 + math.sqrt(2.0 * math.log(20.0) / 1000.0), rel=1e-12)
-        assert val == pytest.approx(0.1774, abs=5e-4)
-
-    def test_delta_near_one_kills_second_term(self):
-        val = erm_excess_bound(10, 1000, 1.0 - 1e-12, 1.0)
-        assert val == pytest.approx(0.1, abs=1e-5)
-
-    def test_scales_with_inverse_sqrt_n(self):
-        a = erm_excess_bound(10, 500, 0.05, 1.0)
-        b = erm_excess_bound(10, 1000, 0.05, 1.0)
-        assert a == pytest.approx(b * math.sqrt(2.0), rel=1e-12)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            erm_excess_bound(0, 10, 0.05)
-        with pytest.raises(ValueError):
-            erm_excess_bound(5, 10, 0.0)
 
 
 class TestStratifiedSplit:
@@ -125,14 +101,6 @@ class TestCiTest:
         rep = ci_test(ds, TestConfig(seed=1, alpha=None, tau=0.42))
         assert rep.tau == 0.42
 
-    def test_erm_bound_reported_when_configured(self):
-        ds = small_h0_dataset(seed=4)
-        rep = ci_test(ds, TestConfig(seed=1, vc_dim=50))
-        n_t = rep.split_sizes["train"]
-        assert rep.erm_bound == pytest.approx(erm_excess_bound(50, n_t, 0.05, 1.0))
-        rep2 = ci_test(ds, TestConfig(seed=1))
-        assert rep2.erm_bound is None
-
     def test_too_few_rows(self):
         ds = small_h0_dataset(n=50)
         with pytest.raises(TooFewRows):
@@ -157,28 +125,10 @@ class TestCiTest:
         rep2 = ci_test(ds2, TestConfig(seed=7))
         assert rep.e1 == rep2.e1
 
-    def test_uniform_mimic_path(self):
-        ds = gen_postnonlinear(PostNonlinearConfig(d_z=2, n=300, ci=True, seed=8))
-        rep = ci_test(ds, TestConfig(seed=9, mimic="uniform"))
-        assert rep.config["mimic"] == "uniform"
-        assert 0.0 <= rep.gap <= 1.0
-
-    def test_uniform_mimic_on_categorical_y_warns(self):
-        from ciforge.errors import MimicSupportWarning
-
-        ds = small_h0_dataset(n=120, seed=14)
-        with pytest.warns(MimicSupportWarning):
-            ci_test(ds, TestConfig(seed=15, mimic="uniform"))
-
-    def test_logreg_and_mlp_classifiers_run(self):
-        ds = gen_postnonlinear(PostNonlinearConfig(d_z=2, n=240, ci=True, seed=10))
-        for kind in ("logreg", "mlp"):
-            rep = ci_test(ds, TestConfig(seed=11, classifier=kind))
-            assert rep.config["classifier"] == kind
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TestConfig(mimic="cgan")
+        for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim"):
+            with pytest.raises(TypeError):
+                TestConfig(**{removed: None})
         with pytest.raises(ValueError):
             TestConfig(alpha=None, tau=None)
         with pytest.raises(ValueError):
@@ -198,5 +148,5 @@ class TestCiTest:
         ds = small_h0_dataset(seed=12)
         rep = ci_test(ds, TestConfig(seed=13))
         parsed = json.loads(rep.to_json())
-        for key in ("e1", "e2", "gap", "n_s", "p_value", "tau", "decision", "seed", "config"):
-            assert key in parsed
+        keys = {"e1", "e2", "gap", "n_s", "p_value", "tau", "decision", "seed", "split_sizes", "config"}
+        assert set(parsed) == keys
