@@ -16,8 +16,10 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   cumsum adds in the same sequence as a 1-D one, node sums run over rows in
   ascending order, and the first maximum along and then across the rows
   keeps both tie-breaks;
-* the round played on the validation set with the lowest logistic loss
-  becomes ``best_round``; prediction uses only that prefix of trees;
+* the round with the lowest validation logistic loss (the first, on ties)
+  becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
+  passed without beating it; prediction uses only the first ``best_round``
+  trees;
 * if a round would increase the training loss, its leaf values are halved
   until it does not (deterministic backoff), so the per-round training-loss
   sequence is non-increasing by construction.
@@ -30,7 +32,7 @@ only rows without x and its predictions cannot depend on x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +42,8 @@ from .nn import _loss_value, _sigmoid
 
 ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
+#: Rounds boosted past the best validation loss before the loop stops.
+PATIENCE = 50
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,9 @@ class FeatureEncoder:
 
 @dataclass(frozen=True)
 class GbtConfig:
+    """Booster settings; ``rounds`` is a cap, since boosting stops early
+    once ``PATIENCE`` rounds pass without a better validation loss."""
+
     rounds: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
@@ -112,15 +119,15 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    depth: int = field(init=False)
 
-    @property
-    def depth(self) -> int:
+    def __post_init__(self):
         def walk(node: int) -> int:
             if self.feature[node] < 0:
                 return 0
             return 1 + max(walk(self.left[node]), walk(self.right[node]))
 
-        return walk(0)
+        self.depth = walk(0)
 
     def predict(self, f: np.ndarray) -> np.ndarray:
         # Every row steps down one level per pass; leaves route to
@@ -285,6 +292,9 @@ def fit_boosted_trees(
 
     ``val_loss[r]`` is the validation loss using the first r trees (entry 0
     is the empty ensemble), so best_round may be 0 when no tree helps.
+    Boosting ends after ``config.rounds`` rounds, or earlier once
+    ``PATIENCE`` rounds have passed since best_round; ``trees`` keeps every
+    tree built.
     """
     y = np.asarray(y_train, dtype=np.float64)
     yv = np.asarray(y_val, dtype=np.float64)
@@ -301,6 +311,7 @@ def fit_boosted_trees(
     train_loss = [_logloss(margin, y)]
     val_loss = [_logloss(margin_val, yv)]
     trees: list[Tree] = []
+    best_round = 0
     for _ in range(config.rounds):
         p = _sigmoid(margin)
         g = p - y
@@ -319,7 +330,11 @@ def fit_boosted_trees(
         trees.append(tree)
         train_loss.append(_logloss(margin, y))
         val_loss.append(_logloss(margin_val, yv))
-    best_round = int(np.argmin(val_loss))
+        # Strict < keeps the first minimum, as np.argmin does.
+        if val_loss[-1] < val_loss[best_round]:
+            best_round = len(val_loss) - 1
+        elif len(val_loss) - 1 - best_round >= PATIENCE:
+            break
     return BoostedTrees(trees, best_round, train_loss, val_loss)
 
 

@@ -53,6 +53,16 @@ def _resolve_seed(args, file_cfg: dict) -> int:
     return DEFAULT_SEED
 
 
+# Top-level --config keys each subcommand reads; any other key is an error.
+_TOP_LEVEL_KEYS = {
+    "gen": {"seed"},
+    "verify": {"seed"},
+    "test": {"seed", "tester"},
+    "relations": {"seed", "tester"},
+    "bench": {"seed", "tester", "n_h0", "n_h1", "n", "d_z", "a_xy", "noise_var"},
+}
+
+
 def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
@@ -60,6 +70,9 @@ def _load_config(args) -> dict:
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise CiforgeError("--config must hold a JSON object")
+    unknown = sorted(set(cfg) - _TOP_LEVEL_KEYS[args.command])
+    if unknown:
+        raise CiforgeError(f"unknown top-level key(s) in --config for '{args.command}': {', '.join(unknown)}")
     return cfg
 
 

@@ -41,7 +41,7 @@ class MimicConfig:
     tree_rounds: int = 200
     tree_lr: float = 0.1
     tree_depth: int = 3  # depth 1 = boosted stumps
-    mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100, loss="squared"))
+    mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100))
     categorical_table: bool = False
 
     def __post_init__(self):
@@ -53,6 +53,15 @@ class MimicConfig:
             raise ValueError(f"tree_lr must be > 0, got {self.tree_lr}")
         if self.tree_depth < 1:
             raise ValueError(f"tree_depth must be >= 1, got {self.tree_depth}")
+        # fit_reg_mimic fits a squared-loss regression seeded by its own
+        # seed argument, so these two would be ignored.
+        if self.mlp.loss != "squared":
+            raise ValueError(f"mimic_config.mlp.loss must be 'squared', got {self.mlp.loss!r}")
+        if self.mlp.seed != MlpConfig.seed:
+            raise ValueError(
+                f"mimic_config.mlp.seed cannot be set (got {self.mlp.seed}); "
+                "the mimic's seed derives from tester.seed"
+            )
 
 
 @dataclass
@@ -115,7 +124,7 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
 
     net, trees = None, None
     if config.regressor == "mlp" or (config.regressor == "auto" and d2.n_z > TREES_MAX_Z):
-        net = mlp_train(zf, y, replace(config.mlp, loss="squared", seed=seed))
+        net = mlp_train(zf, y, replace(config.mlp, seed=seed))
     else:
         trees = [
             fit_boosted_regressor(

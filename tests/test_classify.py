@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciforge import classify
 from ciforge.classify import (
     FeatureEncoder,
     GbtConfig,
@@ -29,6 +30,14 @@ def blob_problem(n=2000, seed=0, d=2, separation=1.5):
     y = (f[:, 0] + 0.5 * f[:, 1] > 0).astype(np.float64)
     f[y == 1, :2] += separation
     return f, y
+
+
+def weak_signal_problem(seed=0, n=800):
+    """(f_train, y_train, f_val, y_val) whose validation loss bottoms out early."""
+    rng = derive_rng(seed, "weak")
+    f = rng.standard_normal((n, 3))
+    y = (f[:, 0] + 1.5 * rng.standard_normal(n) > 0).astype(np.float64)
+    return f[: n // 2], y[: n // 2], f[n // 2 :], y[n // 2 :]
 
 
 def as_labeled(f, y):
@@ -97,6 +106,38 @@ class TestBoostedTrees:
         f, y = blob_problem(n=500, seed=9)
         b = fit_boosted_trees(f[:400], y[:400], f[400:], y[400:], GbtConfig(rounds=10, max_depth=2))
         assert all(t.depth <= 2 for t in b.trees)
+
+    def test_early_stop_is_a_prefix_of_the_full_fit(self, monkeypatch):
+        problem = weak_signal_problem()
+        early = fit_boosted_trees(*problem, GbtConfig(rounds=200))
+        monkeypatch.setattr(classify, "PATIENCE", 201)
+        full = fit_boosted_trees(*problem, GbtConfig(rounds=200))
+        assert len(full.trees) == 200
+        assert len(early.trees) < 200
+        assert early.best_round == full.best_round == int(np.argmin(full.val_loss))
+        k = len(early.trees)
+        assert early.train_loss == full.train_loss[: k + 1]
+        assert early.val_loss == full.val_loss[: k + 1]
+        for ta, tb in zip(early.trees, full.trees):
+            assert_same_tree(ta, tb)
+        f_val = problem[2]
+        assert np.array_equal(early.predict_score(f_val), full.predict_score(f_val))
+
+    def test_random_labels_stop_patience_rounds_after_best(self):
+        rng = derive_rng(1, "noise")
+        f = rng.standard_normal((1400, 3))
+        y = rng.integers(0, 2, size=1400).astype(np.float64)
+        b = fit_boosted_trees(f[:700], y[:700], f[700:], y[700:], GbtConfig(rounds=200))
+        assert len(b.trees) == b.best_round + classify.PATIENCE < 200
+        assert len(b.val_loss) == len(b.train_loss) == len(b.trees) + 1
+        assert min(b.val_loss[b.best_round + 1 :]) >= b.val_loss[b.best_round]
+
+    def test_rounds_caps_the_loop(self):
+        problem = weak_signal_problem()
+        b = fit_boosted_trees(*problem, GbtConfig(rounds=5))
+        assert len(b.trees) == 5
+        assert len(b.val_loss) == 6
+        assert b.best_round == int(np.argmin(b.val_loss))
 
     def test_single_class_rejected(self):
         f, _ = blob_problem(n=100)

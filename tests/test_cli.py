@@ -282,6 +282,10 @@ class TestUsage:
             {"tester": {"mimic_config": {"mlp": {"epochs": -1}}}},
             {"tester": {"mimic_config": {"mlp": {"batch": 0}}}},
             {"tester": {"mimic_config": {"mlp": {"lr": -0.05}}}},
+            {"tester": {"mimic_config": {"mlp": {"seed": 1}}}},
+            {"tester": {"mimic_config": {"mlp": {"loss": "logistic"}}}},
+            {"gbt": {"max_depth": -2}, "mimic_config": {"tree_rounds": -5}},
+            {"tester": {}, "n_h0": 4},
         ],
     )
     def test_malformed_config_exits_two(self, config, h0_csv, tmp_path, capsys):
@@ -319,6 +323,25 @@ class TestUsage:
         code, _, stderr = run_cli(capsys, "test", "--data", str(tmp_path / "unused.csv"), "--config", str(cfg))
         assert code == 2
         assert "unknown key" in stderr
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["gen", "--n", "20", "--data-out", "{tmp}/d.csv"], {"tester": {}}),
+            (["verify", "--joints", "1", "--ci-joints", "1", "--pairs", "1"], {"tester": {}}),
+            (["test", "--data", "{tmp}/d.csv"], {"d_z": 3}),
+            (["relations", "--data", "{tmp}/d.csv", "--relations", "{tmp}/r.csv"], {"n": 100}),
+            (["bench", "--n-h0", "1", "--n-h1", "1", "--n", "150"], {"gbt": {"rounds": 5}}),
+        ],
+    )
+    def test_top_level_key_the_subcommand_does_not_read_exits_two(self, argv, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, stdout, stderr = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert "unknown top-level key" in stderr
 
     def test_nested_config_objects_are_built(self):
         from ciforge.classify import GbtConfig
