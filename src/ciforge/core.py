@@ -17,7 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -136,16 +135,15 @@ class Dataset:
         idx = np.asarray(rows, dtype=np.intp)
         return replace(self, data=self.data[idx])
 
-    def with_y(self, values: np.ndarray, y_cols: Sequence[Column] | None = None) -> "Dataset":
-        """Replace the y block, optionally changing the y column descriptors."""
+    def with_y(self, values: np.ndarray) -> "Dataset":
+        """Replace the y block, keeping the y column descriptors."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
-        new_y = tuple(y_cols) if y_cols is not None else self.y_cols
-        if values.shape != (self.n_rows, len(new_y)):
+        if values.shape != (self.n_rows, self.n_y):
             raise SchemaMismatch(f"y block shape {values.shape} does not match schema")
         data = np.hstack([self.x_block(), values, self.z_block()])
-        return Dataset(self.x_cols, new_y, self.z_cols, data)
+        return Dataset(self.x_cols, self.y_cols, self.z_cols, data)
 
 
 @dataclass(frozen=True)

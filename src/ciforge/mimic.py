@@ -1,18 +1,16 @@
 """Fit q(y|z) on one fold and rewrite another fold's y column with it.
 
-The regression mimic fits r(z) ~ E[y|z] (boosted depth-3 trees by default,
-an MLP for very wide z), measures the residuals, and replaces each
-held-out y with r(z) + s, where s is full-covariance Gaussian noise with
-probability ``GAUSSIAN_PROB`` = 0.3 and per-coordinate Laplace noise
-otherwise.  Both noise families have full support, so the mimicked
-conditional is positive wherever the true one is, which is the support
-condition the downstream test relies on.
-
-Mimicked y columns are emitted as continuous even when the source y was
-categorical (codes plus continuous noise).  A frequency-table mimic that
-preserves categorical y exactly is available behind
-``MimicConfig.categorical_table``; it bins z coarsely and samples codes
-from the empirical conditional per bin.
+The mimic's kind follows y's kind, and the mimicked y keeps y's column
+descriptors.  A continuous y gets the regression mimic: it fits
+r(z) ~ E[y|z] (boosted depth-3 trees by default, an MLP for very wide z),
+measures the residuals, and replaces each held-out y with r(z) + s, where
+s is full-covariance Gaussian noise with probability ``GAUSSIAN_PROB`` =
+0.3 and per-coordinate Laplace noise otherwise.  Both noise families have
+full support, so the mimicked conditional is positive wherever the true
+one is, which is the support condition the downstream test relies on.  A
+categorical y gets the table mimic: it bins z coarsely and samples codes
+from the empirical conditional per bin, so real and mimicked y share
+their support.  A y that mixes the two kinds is rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class MimicConfig:
     tree_lr: float = 0.1
     tree_depth: int = 3  # depth 1 = boosted stumps
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100))
-    categorical_table: bool = False
 
     def __post_init__(self):
         if self.regressor not in ("auto", "trees", "mlp"):
@@ -93,16 +90,18 @@ def _regress(zf: np.ndarray, net: Mlp | None, trees: list[BoostedTrees] | None) 
     return np.column_stack([m.predict_margin(zf, rounds=len(m.trees)) for m in trees])
 
 
-def _check_z_schema(model: MimicModel, ds: Dataset) -> None:
+def _check_schema(model: MimicModel, ds: Dataset) -> None:
     if ds.z_cols != model.z_cols:
         raise SchemaMismatch("z columns of the dataset do not match the fitted mimic")
-    if ds.n_y != len(model.y_cols):
-        raise SchemaMismatch("y width of the dataset does not match the fitted mimic")
+    if ds.y_cols != model.y_cols:
+        raise SchemaMismatch("y columns of the dataset do not match the fitted mimic")
 
 
 def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 0) -> MimicModel:
-    """Fit the regression mimic on the (y, z) blocks of ``d2``.
+    """Fit the mimic of y's kind on the (y, z) blocks of ``d2``.
 
+    An all-categorical y gets the table mimic, an all-continuous y the
+    regression mimic; a y mixing the two raises ``SchemaMismatch``.
     ``seed`` drives the MLP regressor's initialization and batch order; the
     boosted trees and the table mimic are seed-free.
 
@@ -113,11 +112,14 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
     per-coordinate scales with 2 b^2 = variance.
     """
     if d2.n_rows < 20:
-        raise TooFewRows(f"regression mimic needs >= 20 rows, got {d2.n_rows}")
+        raise TooFewRows(f"mimic needs >= 20 rows, got {d2.n_rows}")
     if d2.n_y < 1:
-        raise SchemaMismatch("regression mimic needs at least one y column")
-    if config.categorical_table and all(c.kind == "categorical" for c in d2.y_cols):
-        return _fit_table_mimic(d2, config)
+        raise SchemaMismatch("mimic needs at least one y column")
+    kinds = {c.kind for c in d2.y_cols}
+    if kinds == {"categorical"}:
+        return _fit_table_mimic(d2)
+    if kinds != {"continuous"}:
+        raise SchemaMismatch("y mixes categorical and continuous columns; no mimic fits both")
     y = d2.y_block()
     encoder = FeatureEncoder(d2.z_cols)
     zf = encoder.transform(d2.z_block())
@@ -155,7 +157,7 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
     )
 
 
-def _fit_table_mimic(d2: Dataset, config: MimicConfig) -> MimicModel:
+def _fit_table_mimic(d2: Dataset) -> MimicModel:
     """Empirical conditional frequency table over coarse z bins."""
     zb = d2.z_block()
     bin_cols = tuple(range(min(d2.n_z, _TABLE_MAX_COLS)))
@@ -221,7 +223,7 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
     x and z pass through bit-exactly; y-hat depends only on z and fresh
     noise, never on x.  Deterministic given (model, d3, seed).
     """
-    _check_z_schema(model, d3)
+    _check_schema(model, d3)
     rng = derive_rng(seed, "mimic-apply")
     n, n_y = d3.n_rows, d3.n_y
     if model.kind == "regression":
@@ -230,17 +232,15 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
         gauss = rng.standard_normal((n, n_y)) @ model.chol.T
         lap = rng.laplace(0.0, model.laplace_scales, size=(n, n_y))
         y_hat = base + np.where(use_gauss[:, None], gauss, lap)
-        new_cols = tuple(Column(c.name) for c in model.y_cols)
     elif model.kind == "table":
         bins = _bin_ids(d3.z_block(), model.z_cols, model.bin_cols, model.bin_edges)
         y_hat = np.empty((n, n_y))
         for k, table in enumerate(model.tables):
             probs = np.stack([table.get(int(b), table["__global__"]) for b in bins])
             y_hat[:, k] = _inverse_cdf(probs, rng.random(n))
-        new_cols = model.y_cols
     else:
         raise ValueError(f"unknown mimic kind {model.kind!r}")
-    return d3.with_y(y_hat, new_cols)
+    return d3.with_y(y_hat)
 
 
 def noise_density(model: MimicModel, points: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """End-to-end conditional-independence test.
 
-One call runs the whole pipeline: split the sample into thirds, fit the
-regression mimic on the second third's (y, z), rewrite the third third's
+One call runs the whole pipeline: split the sample into thirds, fit a
+mimic of q(y|z) on the second third's (y, z), rewrite the third third's
 y column, label mimicked rows 0 and untouched first-third rows 1, train one
 boosted-tree classifier without x and one with x on a shared stratified
 train/validation/test split, and decide from the difference of their test
-errors.
+errors.  The mimic's kind follows y's kind (a regression mimic for
+continuous y, a frequency table for categorical y), so real and mimicked
+rows share y's column kinds.
 
 Both classifiers are scored on the same test rows, so the gap is the mean
 of per-row loss differences and is identical (bit-exactly) to |e1 - e2|.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,9 +148,6 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     model = fit_reg_mimic(d2, config.mimic_config, seed=child_seed(seed, "mimic-fit"))
     d_prime = mimic_apply(model, d3, seed=child_seed(seed, "mimic-noise"))
 
-    # The mimic decides the y column kinds (it emits a categorical y as
-    # continuous unless it samples codes), and d1 takes them over.
-    d1 = replace(d1, y_cols=d_prime.y_cols)
     labeled = concat(
         LabeledDataset(d1, np.ones(d1.n_rows, dtype=np.int8)),
         LabeledDataset(d_prime, np.zeros(d_prime.n_rows, dtype=np.int8)),

@@ -169,11 +169,14 @@ def test_criterion_3_null_calibration():
         decisions = list(pool.map(_null_job, jobs))
     elapsed = time.perf_counter() - t0
     rate = decisions.count("H1") / len(decisions)
+    h1_disc = sum(d == "H1" for (kind, _), d in zip(jobs, decisions) if kind == "disc")
+    h1_pnl = decisions.count("H1") - h1_disc
     ok = rate <= 0.10 and elapsed < 1200.0
     report(
         "3 (null calibration, 100 H0 datasets, alpha=0.05)",
         ok,
-        f"rejection rate {rate:.3f} <= 0.10 ({decisions.count('H1')}/100), {elapsed:.0f}s < 20min",
+        f"rejection rate {rate:.3f} <= 0.10 ({decisions.count('H1')}/100: discrete {h1_disc}/50, "
+        f"pnl {h1_pnl}/50), {elapsed:.0f}s < 20min",
     )
     assert ok
 

@@ -128,6 +128,24 @@ class TestTest:
         assert stdout == ""
         assert "sidecar" in stderr
 
+    def test_mixed_kind_y_exits_two(self, tmp_path, capsys):
+        """No mimic fits a y with one categorical and one continuous column;
+        the kinds come from the sidecar written next to the CSV."""
+        import numpy as np
+
+        from ciforge.core import Column, Dataset, derive_rng, write_dataset
+
+        rng = derive_rng(0, "cli-mixed-y")
+        n = 240
+        data = np.column_stack([rng.standard_normal(n), rng.integers(0, 2, n), rng.standard_normal((n, 2))])
+        ds = Dataset((Column("x_0"),), (Column("y_0", "categorical", 2), Column("y_1")), (Column("z_0"),), data)
+        path = tmp_path / "mixed.csv"
+        write_dataset(ds, path, tmp_path / "mixed.csv.meta.json")
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(path), "--seed", "3")
+        assert code == 2
+        assert stdout == ""
+        assert "mixes categorical and continuous" in stderr
+
     def test_config_echo_round_trips(self, h0_csv, tmp_path, capsys):
         """A report's config echo, fed back as --config, rebuilds the same
         TestConfig and the same report bytes."""
@@ -315,6 +333,7 @@ class TestUsage:
             {"logreg": {}},
             {"vc_dim": 50},
             {"mimic_config": {"seed": 5}},
+            {"mimic_config": {"categorical_table": True}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):

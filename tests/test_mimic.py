@@ -72,6 +72,17 @@ class TestFitRegMimic:
         with pytest.raises(TooFewRows):
             fit_reg_mimic(yz_dataset(n=10), MimicConfig())
 
+    def test_mixed_kind_y_rejected(self):
+        """Neither mimic fits a y with one categorical and one continuous
+        column: the table would read the continuous one as codes, and the
+        regression would add noise to the codes."""
+        ds = yz_dataset(n=200, n_y=2, seed=8)
+        y = ds.y_block().copy()
+        y[:, 0] = (y[:, 0] > 0).astype(float)
+        mixed = Dataset(ds.x_cols, (Column("y_0", "categorical", 2), Column("y_1")), ds.z_cols, ds.with_y(y).data)
+        with pytest.raises(SchemaMismatch, match="mixes"):
+            fit_reg_mimic(mixed, MimicConfig())
+
     def test_laplace_scales_positive(self):
         model = fit_reg_mimic(yz_dataset(n=500, seed=7), MimicConfig())
         assert np.all(model.laplace_scales > 0)
@@ -148,6 +159,16 @@ class TestMimicApply:
         with pytest.raises(SchemaMismatch):
             mimic_apply(model, d3, seed=0)
 
+    def test_y_kind_mismatch(self):
+        """The output keeps the applied fold's y columns, so they must be
+        the ones the mimic was fitted on."""
+        model = fit_reg_mimic(yz_dataset(n=200), MimicConfig())
+        d3 = yz_dataset(n=100, seed=2)
+        codes = d3.with_y((d3.y_block() > 0).astype(float)).data
+        d3_cat = Dataset(d3.x_cols, (Column("y_0", "categorical", 2),), d3.z_cols, codes)
+        with pytest.raises(SchemaMismatch, match="y columns"):
+            mimic_apply(model, d3_cat, seed=0)
+
     def test_independent_y_mimic_is_centered(self):
         d2 = yz_dataset(n=2000, link="independent", seed=6)
         d3 = yz_dataset(n=2000, link="independent", seed=7)
@@ -179,7 +200,7 @@ class TestNoiseDensity:
     def test_table_kind_has_no_noise_density(self):
         data = np.column_stack([np.arange(60) % 2, np.arange(60) % 3]).astype(float)
         ds = Dataset((), (Column("y_0", "categorical", 2),), (Column("z_0", "categorical", 3),), data)
-        model = fit_reg_mimic(ds, MimicConfig(categorical_table=True))
+        model = fit_reg_mimic(ds, MimicConfig())
         with pytest.raises(ValueError):
             noise_density(model, np.zeros((1, 1)))
 
@@ -197,7 +218,7 @@ class TestTableMimic:
             (Column("z_0", "categorical", 2),),
             np.hstack([x, y[:, None], z]),
         )
-        model = fit_reg_mimic(ds, MimicConfig(categorical_table=True))
+        model = fit_reg_mimic(ds, MimicConfig())
         assert model.kind == "table"
         out = mimic_apply(model, ds, seed=3)
         assert out.y_cols[0].kind == "categorical"
@@ -232,7 +253,7 @@ class TestTableMimic:
             return Dataset((), (y_col,), z_cols, np.column_stack([y, z]).astype(np.float64))
 
         d2, d3 = fold(top_codes=False), fold(top_codes=True)
-        model = fit_reg_mimic(d2, MimicConfig(categorical_table=True))
+        model = fit_reg_mimic(d2, MimicConfig())
         y_hat = mimic_apply(model, d3, seed=seed % 1000).y_block()[:, 0]
         seen = np.zeros(n, dtype=bool)
         for row in d2.z_block():

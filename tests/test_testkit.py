@@ -113,6 +113,16 @@ class TestCiTest:
         with pytest.raises(SchemaMismatch):
             ci_test(drop_x(ds), TestConfig(seed=0))
 
+    def test_dependent_categorical_data_decides_h1(self):
+        """A categorical y gets the table mimic, so mimicked rows share y's
+        codes and only x can tell them apart.  (A regression mimic writes
+        codes plus noise; y alone then separates the rows and the gap is 0.)
+        This joint's exact population gap is about 0.16."""
+        ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=False, seed=1), 6000, seed=2)
+        rep = ci_test(ds, TestConfig(seed=3))
+        assert rep.gap > 0.0
+        assert rep.decision == "H1"
+
     def test_f1_error_invariant_to_x_permutation(self):
         """The no-x classifier's reported error cannot depend on x values."""
         from ciforge.core import Dataset
