@@ -270,10 +270,9 @@ class BoostedTrees:
     train_loss: list[float]
     val_loss: list[float]
 
-    def predict_margin(self, f: np.ndarray, rounds: int | None = None) -> np.ndarray:
-        n_use = self.best_round if rounds is None else rounds
+    def predict_margin(self, f: np.ndarray) -> np.ndarray:
         margin = np.zeros(f.shape[0])
-        for tree in self.trees[:n_use]:
+        for tree in self.trees[: self.best_round]:
             margin += tree.predict(f)
         return margin
 
@@ -339,10 +338,10 @@ def fit_boosted_trees(
 
 
 def fit_boosted_regressor(
-    f: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, max_depth: int = 1, l2: float = 1.0
+    f: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, max_depth: int = 1
 ) -> BoostedTrees:
     """Squared-loss boosting (unit hessian); depth 1 gives boosted stumps."""
-    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, learning_rate=learning_rate, l2=l2, min_child_weight=1.0)
+    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, learning_rate=learning_rate, min_child_weight=1.0)
     y = np.asarray(y, dtype=np.float64)
     builder = _TreeBuilder(f, cfg)
     pred = np.zeros(f.shape[0])

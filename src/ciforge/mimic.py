@@ -1,16 +1,19 @@
 """Fit q(y|z) on one fold and rewrite another fold's y column with it.
 
-The mimic's kind follows y's kind, and the mimicked y keeps y's column
-descriptors.  A continuous y gets the regression mimic: it fits
-r(z) ~ E[y|z] (boosted depth-3 trees by default, an MLP for very wide z),
-measures the residuals, and replaces each held-out y with r(z) + s, where
-s is full-covariance Gaussian noise with probability ``GAUSSIAN_PROB`` =
-0.3 and per-coordinate Laplace noise otherwise.  Both noise families have
-full support, so the mimicked conditional is positive wherever the true
-one is, which is the support condition the downstream test relies on.  A
-categorical y gets the table mimic: it bins z coarsely and samples codes
-from the empirical conditional per bin, so real and mimicked y share
-their support.  A y that mixes the two kinds is rejected.
+A fitted mimic is an object with ``y_cols``, ``z_cols`` and
+``draw(z_block, rng)``, which returns one y-hat row per z row; a new mimic
+needs nothing else.  The mimic's kind follows y's kind, and the mimicked y
+keeps y's column descriptors.  A continuous y gets the regression mimic: it
+fits r(z) ~ E[y|z] (boosted depth-3 trees, an MLP for z wider than
+``TREES_MAX_Z`` columns), measures the residuals, and replaces each
+held-out y with r(z) + s, where s is full-covariance Gaussian noise with
+probability ``GAUSSIAN_PROB`` = 0.3 and per-coordinate Laplace noise
+otherwise.  Both noise families have full support, so the mimicked
+conditional is positive wherever the true one is, which is the support
+condition the downstream test relies on.  A categorical y gets the table
+mimic: it bins z coarsely and samples codes from the empirical conditional
+per z cell, so real and mimicked y share their support.  A y that mixes
+the two kinds is rejected.
 """
 
 from __future__ import annotations
@@ -30,20 +33,17 @@ TREES_MAX_Z = 50
 #: Share of regression-mimic rows that get Gaussian rather than Laplace noise.
 GAUSSIAN_PROB = 0.3
 
-_TABLE_MAX_COLS = 6  # z columns used for the coarse bins of the table mimic
+_TABLE_MAX_COLS = 6  # z columns used for the coarse cells of the table mimic
 
 
 @dataclass(frozen=True)
 class MimicConfig:
-    regressor: str = "auto"  # "auto" | "trees" | "mlp"
     tree_rounds: int = 200
     tree_lr: float = 0.1
     tree_depth: int = 3  # depth 1 = boosted stumps
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100))
 
     def __post_init__(self):
-        if self.regressor not in ("auto", "trees", "mlp"):
-            raise ValueError(f"unknown regressor {self.regressor!r}")
         if self.tree_rounds < 1:
             raise ValueError(f"tree_rounds must be >= 1, got {self.tree_rounds}")
         if not self.tree_lr > 0.0:
@@ -61,40 +61,71 @@ class MimicConfig:
             )
 
 
-@dataclass
-class MimicModel:
-    """Fitted generator of y-hat given z."""
+@dataclass(frozen=True)
+class RegressionMimic:
+    """r(z) plus full-support residual noise: the mimic of a continuous y.
 
-    kind: str  # "regression" | "table"
+    Exactly one of ``trees`` (one boosted regressor per y column) and
+    ``net`` is set.
+    """
+
     y_cols: tuple[Column, ...]
     z_cols: tuple[Column, ...]
-    encoder: FeatureEncoder | None = None
-    trees: list[BoostedTrees] | None = None
-    net: Mlp | None = None
-    chol: np.ndarray | None = None
-    laplace_scales: np.ndarray | None = None
-    bin_cols: tuple[int, ...] = ()
-    bin_edges: list[np.ndarray] = field(default_factory=list)
-    tables: list[dict] = field(default_factory=list)
+    encoder: FeatureEncoder
+    trees: list[BoostedTrees] | None
+    net: Mlp | None
+    chol: np.ndarray  # Cholesky factor of the Gaussian noise covariance
+    laplace_scales: np.ndarray  # per y column
 
     def predict_mean(self, z_block: np.ndarray) -> np.ndarray:
-        if self.kind != "regression":
-            raise ValueError("predict_mean is only defined for the regression kind")
         return _regress(self.encoder.transform(z_block), self.net, self.trees)
+
+    def draw(self, z_block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        base = self.predict_mean(z_block)
+        n, n_y = base.shape
+        use_gauss = rng.random(n) < GAUSSIAN_PROB
+        gauss = rng.standard_normal((n, n_y)) @ self.chol.T
+        lap = rng.laplace(0.0, self.laplace_scales, size=(n, n_y))
+        return base + np.where(use_gauss[:, None], gauss, lap)
+
+
+@dataclass(frozen=True)
+class TableMimic:
+    """Empirical conditional frequencies per z cell: the mimic of a categorical y.
+
+    A z cell is the row of binned values of the first ``_TABLE_MAX_COLS`` z
+    columns: a categorical code as it is, a continuous value as 1 at or
+    above the fit fold's median and 0 below.  Cells are matched by value,
+    so a cell has the same table row in every fold.
+    """
+
+    y_cols: tuple[Column, ...]
+    z_cols: tuple[Column, ...]
+    edges: tuple[float | None, ...]  # per binned z column: its median, None if categorical
+    cells: np.ndarray  # (n_cells, n_binned) distinct cells of the fit fold
+    probs: tuple[np.ndarray, ...]  # per y column: (n_cells + 1, cardinality), last row the marginal
+
+    def draw(self, z_block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        n_seen = len(self.cells)
+        uniq, inv = np.unique(
+            np.vstack([self.cells, _cells(z_block, self.edges)]), axis=0, return_inverse=True
+        )
+        inv = inv.reshape(-1)  # its shape under axis= differs across numpy 2.x releases
+        row_of = np.full(len(uniq), -1)  # -1, the marginal, for a cell unseen at fit
+        row_of[inv[:n_seen]] = np.arange(n_seen)
+        rows = row_of[inv[n_seen:]]
+        y_hat = [_inverse_cdf(p[rows], rng.random(rows.size)) for p in self.probs]
+        return np.column_stack(y_hat).astype(np.float64)
+
+
+MimicModel = RegressionMimic | TableMimic
 
 
 def _regress(zf: np.ndarray, net: Mlp | None, trees: list[BoostedTrees] | None) -> np.ndarray:
     """r(z) from encoded z: the MLP, or one boosted regressor per y column."""
     if net is not None:
         return net.forward(zf)
-    return np.column_stack([m.predict_margin(zf, rounds=len(m.trees)) for m in trees])
-
-
-def _check_schema(model: MimicModel, ds: Dataset) -> None:
-    if ds.z_cols != model.z_cols:
-        raise SchemaMismatch("z columns of the dataset do not match the fitted mimic")
-    if ds.y_cols != model.y_cols:
-        raise SchemaMismatch("y columns of the dataset do not match the fitted mimic")
+    return np.column_stack([m.predict_margin(zf) for m in trees])
 
 
 def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 0) -> MimicModel:
@@ -125,7 +156,7 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
     zf = encoder.transform(d2.z_block())
 
     net, trees = None, None
-    if config.regressor == "mlp" or (config.regressor == "auto" and d2.n_z > TREES_MAX_Z):
+    if d2.n_z > TREES_MAX_Z:
         net = mlp_train(zf, y, replace(config.mlp, seed=seed))
     else:
         trees = [
@@ -145,66 +176,33 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
         shrink = 1e-12  # exactly-realizable regression: keep the factor valid
     chol = np.linalg.cholesky(cov + shrink * np.eye(d2.n_y))
     scales = np.sqrt(np.maximum(resid.var(axis=0, ddof=1) / 2.0, 1e-24))
-    return MimicModel(
-        kind="regression",
-        y_cols=d2.y_cols,
-        z_cols=d2.z_cols,
-        encoder=encoder,
-        trees=trees,
-        net=net,
-        chol=chol,
-        laplace_scales=scales,
-    )
+    return RegressionMimic(d2.y_cols, d2.z_cols, encoder, trees, net, chol, scales)
 
 
-def _fit_table_mimic(d2: Dataset) -> MimicModel:
-    """Empirical conditional frequency table over coarse z bins."""
+def _fit_table_mimic(d2: Dataset) -> TableMimic:
     zb = d2.z_block()
-    bin_cols = tuple(range(min(d2.n_z, _TABLE_MAX_COLS)))
-    edges = []
-    for j in bin_cols:
-        if d2.z_cols[j].kind == "categorical":
-            edges.append(None)  # codes are their own bins
-        else:
-            edges.append(np.asarray([np.median(zb[:, j])]))
-    bins = _bin_ids(zb, d2.z_cols, bin_cols, edges)
-    y = d2.y_block().astype(np.intp)
-    tables = []
-    for k, col in enumerate(d2.y_cols):
-        per_bin: dict = {}
-        counts = np.bincount(y[:, k], minlength=col.cardinality).astype(np.float64)
-        per_bin["__global__"] = counts / counts.sum()
-        for b in np.unique(bins):
-            sel = y[bins == b, k]
-            c = np.bincount(sel, minlength=col.cardinality).astype(np.float64)
-            per_bin[int(b)] = c / c.sum()
-        tables.append(per_bin)
-    return MimicModel(
-        kind="table",
-        y_cols=d2.y_cols,
-        z_cols=d2.z_cols,
-        bin_cols=bin_cols,
-        bin_edges=edges,
-        tables=tables,
+    edges = tuple(
+        None if c.kind == "categorical" else float(np.median(zb[:, j]))
+        for j, c in enumerate(d2.z_cols[:_TABLE_MAX_COLS])
     )
+    cells, inv = np.unique(_cells(zb, edges), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    y = d2.y_block().astype(np.intp)
+    probs = []
+    for k, col in enumerate(d2.y_cols):
+        counts = np.bincount(inv * col.cardinality + y[:, k], minlength=len(cells) * col.cardinality)
+        counts = counts.reshape(len(cells), col.cardinality)
+        counts = np.vstack([counts, counts.sum(axis=0)]).astype(np.float64)
+        probs.append(counts / counts.sum(axis=1, keepdims=True))
+    return TableMimic(d2.y_cols, d2.z_cols, edges, cells, tuple(probs))
 
 
-def _bin_ids(zb: np.ndarray, z_cols: tuple[Column, ...], bin_cols, edges) -> np.ndarray:
-    """Mixed-radix bin id of each row.
-
-    A categorical column's radix is its declared cardinality, never the
-    codes a fold happens to contain, so a z cell has one id in every fold.
-    """
-    ids = np.zeros(zb.shape[0], dtype=np.intp)
-    for j, e in zip(bin_cols, edges):
-        if e is None:
-            part = zb[:, j].astype(np.intp)
-            width = z_cols[j].cardinality
-        else:
-            part = np.searchsorted(e, zb[:, j], side="right")
-            width = e.size + 1
-        ids = ids * width + part
-    return ids
+def _cells(zb: np.ndarray, edges: tuple[float | None, ...]) -> np.ndarray:
+    """The z cell of each row (see ``TableMimic``)."""
+    cells = np.empty((zb.shape[0], len(edges)), dtype=np.intp)
+    for j, e in enumerate(edges):
+        cells[:, j] = zb[:, j] if e is None else zb[:, j] >= e
+    return cells
 
 
 def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -223,35 +221,20 @@ def mimic_apply(model: MimicModel, d3: Dataset, seed: int = 0) -> Dataset:
     x and z pass through bit-exactly; y-hat depends only on z and fresh
     noise, never on x.  Deterministic given (model, d3, seed).
     """
-    _check_schema(model, d3)
-    rng = derive_rng(seed, "mimic-apply")
-    n, n_y = d3.n_rows, d3.n_y
-    if model.kind == "regression":
-        base = model.predict_mean(d3.z_block())
-        use_gauss = rng.random(n) < GAUSSIAN_PROB
-        gauss = rng.standard_normal((n, n_y)) @ model.chol.T
-        lap = rng.laplace(0.0, model.laplace_scales, size=(n, n_y))
-        y_hat = base + np.where(use_gauss[:, None], gauss, lap)
-    elif model.kind == "table":
-        bins = _bin_ids(d3.z_block(), model.z_cols, model.bin_cols, model.bin_edges)
-        y_hat = np.empty((n, n_y))
-        for k, table in enumerate(model.tables):
-            probs = np.stack([table.get(int(b), table["__global__"]) for b in bins])
-            y_hat[:, k] = _inverse_cdf(probs, rng.random(n))
-    else:
-        raise ValueError(f"unknown mimic kind {model.kind!r}")
-    return d3.with_y(y_hat)
+    if d3.z_cols != model.z_cols:
+        raise SchemaMismatch("z columns of the dataset do not match the fitted mimic")
+    if d3.y_cols != model.y_cols:
+        raise SchemaMismatch("y columns of the dataset do not match the fitted mimic")
+    return d3.with_y(model.draw(d3.z_block(), derive_rng(seed, "mimic-apply")))
 
 
-def noise_density(model: MimicModel, points: np.ndarray) -> np.ndarray:
-    """Density of the mimic noise mixture at the given points.
+def noise_density(model: RegressionMimic, points: np.ndarray) -> np.ndarray:
+    """Density of the regression mimic's noise mixture at the given points.
 
     Positive everywhere: the Gaussian/Laplace mixture has full support on
     R^n_y, which is what guarantees the support-overlap hypothesis of the
     test regardless of the fitted regressor.
     """
-    if model.kind != "regression":
-        raise ValueError("noise_density is only defined for the regression kind")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n_y = len(model.y_cols)
     cov_solve = np.linalg.solve(model.chol, pts.T)  # chol @ chol.T = cov

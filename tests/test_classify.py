@@ -149,7 +149,7 @@ class TestBoostedTrees:
         f = rng.standard_normal((800, 2))
         y = np.where(f[:, 0] > 0, 2.0, -1.0)
         reg = fit_boosted_regressor(f, y, rounds=100, learning_rate=0.2)
-        resid = y - reg.predict_margin(f, rounds=len(reg.trees))
+        resid = y - reg.predict_margin(f)
         assert float(resid.var()) < 0.01
 
 
@@ -442,18 +442,42 @@ class TestGoldenReports:
     design: its categorical y now gets the table mimic instead of codes
     plus noise, so e1 = e2 = 0.03 (gap 0.0, H0) became e1 = 0.51,
     e2 = 0.52 (gap 0.01, H0).
+
+    Re-pinned when ``mimic_config.regressor`` was removed: the pnl and
+    discrete digests are the sha256 of the previous report with that key
+    deleted and re-dumped with ``sort_keys=True``; no other byte moved.  The
+    categorical-y, continuous-z digest was recorded the same way on the
+    commit before that removal, so it holds the table mimic's median-cut
+    binning of continuous z fixed.
     """
 
     def test_pnl_report_digest(self):
         ds = gen_postnonlinear(PostNonlinearConfig(d_z=3, n=600, ci=False, a_xy=2.0, seed=11))
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "cd747d4df2261db7426eadabc950406e2e5a182ee06ccccc47882b24c0c8974e"
+            "d5ac7958b527c790b79e009197c33880ec5435cbbbfcba04dd1c3af8dfeda7f8"
         )
 
     def test_discrete_report_digest(self):
         ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=True, seed=12), 600, seed=13)
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "62ec946708d5beacb284146c9d77e2b76e91ae88c000dca85b5ca86afad73108"
+            "9e64c8d573449907023c98765683a974180fcba931dc4fb28be014411196d4c1"
+        )
+
+    def test_categorical_y_continuous_z_report_digest(self):
+        rng = derive_rng(31, "cat-y-cont-z")
+        n = 600
+        z = rng.standard_normal((n, 2))
+        y = np.digitize(z[:, 0] + 0.5 * rng.standard_normal(n), [-0.5, 0.5]).astype(np.float64)
+        x = z[:, :1] + 0.5 * rng.standard_normal((n, 1))
+        ds = Dataset(
+            (Column("x_0"),),
+            (Column("y_0", "categorical", 3),),
+            (Column("z_0"), Column("z_1")),
+            np.column_stack([x, y, z]),
+        )
+        text = ci_test(ds, TestConfig(seed=5)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5b5d971af17b7c9a65da2abb0cca5a816018d7574d9eb6be1d4b20103ac7ffdc"
         )

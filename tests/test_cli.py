@@ -334,6 +334,7 @@ class TestUsage:
             {"vc_dim": 50},
             {"mimic_config": {"seed": 5}},
             {"mimic_config": {"categorical_table": True}},
+            {"mimic_config": {"regressor": "mlp"}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):

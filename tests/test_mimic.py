@@ -10,6 +10,7 @@ from ciforge.errors import SchemaMismatch, TooFewRows
 from ciforge.mimic import (
     TREES_MAX_Z,
     MimicConfig,
+    TableMimic,
     _inverse_cdf,
     fit_reg_mimic,
     mimic_apply,
@@ -37,6 +38,44 @@ def yz_dataset(n=1000, n_y=1, n_z=2, seed=0, link="identity", with_x=True):
         tuple(Column(f"z_{i}") for i in range(n_z)),
         data,
     )
+
+
+def reference_table_draw(d2: Dataset, z_block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The table mimic as first written, kept as the reference for
+    ``TableMimic.draw``: each row's z cell is a mixed-radix id (the declared
+    cardinality for a categorical column, 2 for a continuous one cut at its
+    median), and each y column's table is a dict from id to frequencies
+    with the marginal under ``"__global__"``, looked up row by row."""
+    zb = d2.z_block()
+    bin_cols = range(min(d2.n_z, 6))
+    edges = [None if d2.z_cols[j].kind == "categorical" else np.asarray([np.median(zb[:, j])]) for j in bin_cols]
+
+    def bin_ids(block):
+        ids = np.zeros(block.shape[0], dtype=np.intp)
+        for j, e in zip(bin_cols, edges):
+            if e is None:
+                part, width = block[:, j].astype(np.intp), d2.z_cols[j].cardinality
+            else:
+                part, width = np.searchsorted(e, block[:, j], side="right"), e.size + 1
+            ids = ids * width + part
+        return ids
+
+    bins = bin_ids(zb)
+    y = d2.y_block().astype(np.intp)
+    tables = []
+    for k, col in enumerate(d2.y_cols):
+        counts = np.bincount(y[:, k], minlength=col.cardinality).astype(np.float64)
+        table = {"__global__": counts / counts.sum()}
+        for b in np.unique(bins):
+            c = np.bincount(y[bins == b, k], minlength=col.cardinality).astype(np.float64)
+            table[int(b)] = c / c.sum()
+        tables.append(table)
+    new_bins = bin_ids(z_block)
+    y_hat = np.empty((z_block.shape[0], len(tables)))
+    for k, table in enumerate(tables):
+        probs = np.stack([table.get(int(b), table["__global__"]) for b in new_bins])
+        y_hat[:, k] = _inverse_cdf(probs, rng.random(z_block.shape[0]))
+    return y_hat
 
 
 class TestFitRegMimic:
@@ -89,16 +128,16 @@ class TestFitRegMimic:
 
 
 class TestMlpRegressionMimic:
-    """The neural-net regressor, chosen explicitly or above ``TREES_MAX_Z``."""
+    """The neural-net regressor, chosen above ``TREES_MAX_Z`` z columns."""
 
     FAST_MLP = MlpConfig(widths=(8,), epochs=3, loss="squared")
 
     def test_deterministic_under_seed_and_x_z_pass_through(self):
-        d2 = yz_dataset(n=200, n_y=2, n_z=3, seed=21)
-        d3 = yz_dataset(n=150, n_y=2, n_z=3, seed=22)
+        d2 = yz_dataset(n=200, n_y=2, n_z=TREES_MAX_Z + 1, seed=21)
+        d3 = yz_dataset(n=150, n_y=2, n_z=TREES_MAX_Z + 1, seed=22)
 
         def run(seed):
-            model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP), seed=seed)
+            model = fit_reg_mimic(d2, MimicConfig(mlp=self.FAST_MLP), seed=seed)
             assert model.net is not None and model.trees is None
             return mimic_apply(model, d3, seed=5)
 
@@ -109,9 +148,10 @@ class TestMlpRegressionMimic:
         assert np.array_equal(a.z_block(), d3.z_block())
 
     def test_predict_mean_shape(self):
-        d2 = yz_dataset(n=200, n_y=2, n_z=3, seed=23)
-        model = fit_reg_mimic(d2, MimicConfig(regressor="mlp", mlp=self.FAST_MLP), seed=1)
-        assert model.predict_mean(yz_dataset(n=70, n_y=2, n_z=3, seed=24).z_block()).shape == (70, 2)
+        d2 = yz_dataset(n=200, n_y=2, n_z=TREES_MAX_Z + 1, seed=23)
+        model = fit_reg_mimic(d2, MimicConfig(mlp=self.FAST_MLP), seed=1)
+        z_block = yz_dataset(n=70, n_y=2, n_z=TREES_MAX_Z + 1, seed=24).z_block()
+        assert model.predict_mean(z_block).shape == (70, 2)
 
     @pytest.mark.parametrize("n_z, uses_net", [(TREES_MAX_Z, False), (TREES_MAX_Z + 1, True)])
     def test_auto_switches_to_mlp_above_trees_max_z(self, n_z, uses_net):
@@ -197,13 +237,6 @@ class TestNoiseDensity:
         dens = noise_density(model, pts)
         assert np.all(dens > 0)
 
-    def test_table_kind_has_no_noise_density(self):
-        data = np.column_stack([np.arange(60) % 2, np.arange(60) % 3]).astype(float)
-        ds = Dataset((), (Column("y_0", "categorical", 2),), (Column("z_0", "categorical", 3),), data)
-        model = fit_reg_mimic(ds, MimicConfig())
-        with pytest.raises(ValueError):
-            noise_density(model, np.zeros((1, 1)))
-
 
 class TestTableMimic:
     def test_categorical_y_preserved(self):
@@ -219,7 +252,7 @@ class TestTableMimic:
             np.hstack([x, y[:, None], z]),
         )
         model = fit_reg_mimic(ds, MimicConfig())
-        assert model.kind == "table"
+        assert isinstance(model, TableMimic)
         out = mimic_apply(model, ds, seed=3)
         assert out.y_cols[0].kind == "categorical"
         vals = np.unique(out.y_block())
@@ -239,8 +272,8 @@ class TestTableMimic:
     )
     def test_z_cell_keeps_its_bin_across_folds(self, z_cards, y_card, seed):
         """y is a function of the z cell; the fit fold never sees the top
-        code of any z column, so a radix taken from observed codes would
-        file the apply fold's cells under other cells' tables."""
+        code of any z column, so the apply fold holds unseen cells beside
+        seen ones, and every seen cell must still draw from its own row."""
         rng = np.random.default_rng(seed)
         n = 200
         z_cols = tuple(Column(f"z_{j}", "categorical", c) for j, c in enumerate(z_cards))
@@ -261,6 +294,59 @@ class TestTableMimic:
         assert seen.any()
         assert np.array_equal(y_hat[seen], d3.y_block()[seen, 0])
         assert np.all((y_hat >= 0) & (y_hat < y_card) & (y_hat == np.floor(y_hat)))
+
+    def test_wide_declared_z_codes_keep_their_cells(self):
+        """Six z columns of declared cardinality 8192 span 2^78 cells, more
+        than an int64 cell id can number; the mimic must still hold one row
+        per distinct cell and, with y = z_0, reproduce y on every row."""
+        rng = derive_rng(5, "wide-z")
+        z = rng.integers(0, 2, size=(640, 6)).astype(np.float64)
+        z_cols = tuple(Column(f"z_{j}", "categorical", 8192) for j in range(6))
+        ds = Dataset((), (Column("y_0", "categorical", 2),), z_cols, np.column_stack([z[:, 0], z]))
+        model = fit_reg_mimic(ds, MimicConfig())
+        assert len(model.cells) == len(np.unique(z, axis=0))
+        assert model.probs[0].shape == (len(model.cells) + 1, 2)
+        assert np.array_equal(mimic_apply(model, ds, seed=3).y_block(), ds.y_block())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(2, 5), min_size=1, max_size=3),
+        st.lists(st.integers(2, 4), min_size=1, max_size=2),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.integers(20, 80),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_draw_matches_mixed_radix_reference(self, z_cards, y_cards, cont_at, n2, n3, seed):
+        """``TableMimic.draw`` gives the bytes of the first table mimic:
+        per-cell dict tables keyed by mixed-radix cell ids and looked up row
+        by row.  The radix products here stay far below 2^62, where those ids
+        are exact.  The fit fold never sees the top code of a categorical
+        column, so the apply fold has unseen cells; the optional continuous
+        column takes few distinct values, so rows sit on its median."""
+        rng = np.random.default_rng(seed)
+        z_cols = [Column(f"z_{j}", "categorical", c) for j, c in enumerate(z_cards)]
+        if cont_at is not None:
+            z_cols.insert(min(cont_at, len(z_cols)), Column("z_cont"))
+        y_cols = tuple(Column(f"y_{k}", "categorical", c) for k, c in enumerate(y_cards))
+
+        def fold(n, top_codes):
+            z = np.column_stack(
+                [
+                    rng.integers(0, 3, n) * 0.5
+                    if c.kind == "continuous"
+                    else rng.integers(0, c.cardinality - (0 if top_codes else 1), n)
+                    for c in z_cols
+                ]
+            )
+            y = np.column_stack([rng.integers(0, c.cardinality, n) for c in y_cols])
+            return Dataset((), y_cols, tuple(z_cols), np.column_stack([y, z]).astype(np.float64))
+
+        d2, d3 = fold(n2, top_codes=False), fold(n3, top_codes=True)
+        model = fit_reg_mimic(d2, MimicConfig())
+        got = model.draw(d3.z_block(), np.random.default_rng(seed))
+        want = reference_table_draw(d2, d3.z_block(), np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=2, max_size=12).filter(any), st.floats(0.0, 1.0, exclude_max=True))
