@@ -19,7 +19,6 @@ from .core import (
     Dataset,
     LabeledDataset,
     Relation,
-    SplitPlan,
     read_dataset,
     read_relations,
     read_table,
@@ -69,7 +68,6 @@ __all__ = [
     "MlpConfig",
     "PostNonlinearConfig",
     "Relation",
-    "SplitPlan",
     "TestConfig",
     "TestReport",
     "bayes_error",

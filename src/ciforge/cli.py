@@ -90,7 +90,7 @@ def _config_kwargs(cls, given, where: str) -> dict:
     unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
         raise CiforgeError(f"unknown key(s) under '{where}' in --config: {', '.join(unknown)}")
-    # Sequence fields (tvs, widths) are tuples; JSON only has lists.
+    # The sequence field (widths) is a tuple; JSON only has lists.
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
     for key, sub in _NESTED.get(cls, {}).items():
         if key in kwargs:

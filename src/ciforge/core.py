@@ -171,21 +171,7 @@ class LabeledDataset:
         return LabeledDataset(self.base.take(idx), self.labels[idx])
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Deterministic three-way row partition."""
-
-    seed: int
-    thirds: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        parts = tuple(np.asarray(t, dtype=np.intp) for t in self.thirds)
-        for p in parts:
-            p.setflags(write=False)
-        object.__setattr__(self, "thirds", parts)
-
-
-def split_three_way(ds: Dataset, seed: int) -> SplitPlan:
+def split_three_way(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition rows into three disjoint sets of size ~n/3.
 
     Sizes are floor(n/3) each; remainder rows go to the first set, then the
@@ -197,10 +183,8 @@ def split_three_way(ds: Dataset, seed: int) -> SplitPlan:
     perm = derive_rng(seed, "split-three-way").permutation(n)
     base, rem = divmod(n, 3)
     sizes = (base + (1 if rem >= 1 else 0), base + (1 if rem >= 2 else 0), base)
-    a = perm[: sizes[0]]
-    b = perm[sizes[0] : sizes[0] + sizes[1]]
-    c = perm[sizes[0] + sizes[1] :]
-    return SplitPlan(seed=seed, thirds=(a, b, c))
+    cut = sizes[0] + sizes[1]
+    return perm[: sizes[0]], perm[sizes[0] : cut], perm[cut:]
 
 
 def drop_x(ds: Dataset) -> Dataset:
@@ -299,6 +283,9 @@ def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader if row]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaMismatch(f"duplicate column name(s) in the CSV header: {', '.join(repeated)}")
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     unknown = sorted(set(meta) - set(header))
     if unknown:

@@ -18,7 +18,7 @@ the two kinds is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,32 +33,21 @@ TREES_MAX_Z = 50
 #: Share of regression-mimic rows that get Gaussian rather than Laplace noise.
 GAUSSIAN_PROB = 0.3
 
+#: Learning rate and depth of the regression mimic's boosted trees.
+TREE_LR = 0.1
+TREE_DEPTH = 3
+
 _TABLE_MAX_COLS = 6  # z columns used for the coarse cells of the table mimic
 
 
 @dataclass(frozen=True)
 class MimicConfig:
     tree_rounds: int = 200
-    tree_lr: float = 0.1
-    tree_depth: int = 3  # depth 1 = boosted stumps
     mlp: MlpConfig = field(default_factory=lambda: MlpConfig(widths=(32,), epochs=100))
 
     def __post_init__(self):
         if self.tree_rounds < 1:
             raise ValueError(f"tree_rounds must be >= 1, got {self.tree_rounds}")
-        if not self.tree_lr > 0.0:
-            raise ValueError(f"tree_lr must be > 0, got {self.tree_lr}")
-        if self.tree_depth < 1:
-            raise ValueError(f"tree_depth must be >= 1, got {self.tree_depth}")
-        # fit_reg_mimic fits a squared-loss regression seeded by its own
-        # seed argument, so these two would be ignored.
-        if self.mlp.loss != "squared":
-            raise ValueError(f"mimic_config.mlp.loss must be 'squared', got {self.mlp.loss!r}")
-        if self.mlp.seed != MlpConfig.seed:
-            raise ValueError(
-                f"mimic_config.mlp.seed cannot be set (got {self.mlp.seed}); "
-                "the mimic's seed derives from tester.seed"
-            )
 
 
 @dataclass(frozen=True)
@@ -157,15 +146,11 @@ def fit_reg_mimic(d2: Dataset, config: MimicConfig = MimicConfig(), seed: int = 
 
     net, trees = None, None
     if d2.n_z > TREES_MAX_Z:
-        net = mlp_train(zf, y, replace(config.mlp, seed=seed))
+        net = mlp_train(zf, y, config.mlp, seed=seed)
     else:
         trees = [
             fit_boosted_regressor(
-                zf,
-                y[:, k],
-                rounds=config.tree_rounds,
-                learning_rate=config.tree_lr,
-                max_depth=config.tree_depth,
+                zf, y[:, k], rounds=config.tree_rounds, learning_rate=TREE_LR, max_depth=TREE_DEPTH
             )
             for k in range(d2.n_y)
         ]

@@ -27,12 +27,8 @@ class MlpConfig:
     epochs: int = 200
     batch: int = 32
     lr: float = 0.05
-    seed: int = 0
-    loss: str = "squared"  # "squared" | "logistic"
 
     def __post_init__(self):
-        if self.loss not in ("squared", "logistic"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if any(w < 1 for w in self.widths):
             raise ValueError("hidden widths must be >= 1")
         if self.epochs < 0:
@@ -133,14 +129,18 @@ def _standardize_stats(x: np.ndarray):
     return mean, std
 
 
-def mlp_train(features: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
-    """Fit by mini-batch SGD; deterministic given the config seed.
+def mlp_train(
+    features: np.ndarray, targets: np.ndarray, config: MlpConfig, seed: int = 0, loss: str = "squared"
+) -> Mlp:
+    """Fit by mini-batch SGD on ``loss`` ("squared" | "logistic"); deterministic given ``seed``.
 
     The returned parameters are the best epoch-end snapshot by full-data
     training loss (the initial state counts), so the fitted loss never
     exceeds the initial one.  ``loss_history`` holds the full-data loss at
     initialization and after every epoch.
     """
+    if loss not in ("squared", "logistic"):
+        raise ValueError(f"unknown loss {loss!r}")
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
@@ -152,15 +152,15 @@ def mlp_train(features: np.ndarray, targets: np.ndarray, config: MlpConfig) -> M
     if x.shape[0] != t.shape[0]:
         raise EmptyData("features and targets disagree on row count")
 
-    rng = derive_rng(config.seed, "mlp-train")
+    rng = derive_rng(seed, "mlp-train")
     mean, std = _standardize_stats(x)
     xs = (x - mean) / std
     dims = [x.shape[1], *config.widths, t.shape[1]]
     weights, biases = _init_params(dims, rng)
-    model = Mlp(weights, biases, mean, std, config.loss)
+    model = Mlp(weights, biases, mean, std, loss)
 
     def full_loss() -> float:
-        return _loss_value(_forward_cached(model, xs)[-1], t, config.loss)
+        return _loss_value(_forward_cached(model, xs)[-1], t, loss)
 
     history = [full_loss()]
     best_loss = history[0]
@@ -177,12 +177,12 @@ def mlp_train(features: np.ndarray, targets: np.ndarray, config: MlpConfig) -> M
                 w -= config.lr * g
             for b, g in zip(model.biases, gb):
                 b -= config.lr * g
-        loss = full_loss()
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
-        history.append(loss)
-        if loss < best_loss:
-            best_loss = loss
+        epoch_loss = full_loss()
+        if not np.isfinite(epoch_loss):
+            raise NonFiniteLoss(f"training diverged (loss={epoch_loss}); lower the learning rate")
+        history.append(epoch_loss)
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
             best = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
 
     model.weights, model.biases = best

@@ -392,8 +392,15 @@ def run_verify(
     """Run the full oracle property battery; returns a JSON-friendly report.
 
     Each named check records worst-case slack against its tolerance.  The
-    defaults match the sizes used by the acceptance suite.
+    defaults match the sizes used by the acceptance suite.  A negative
+    count raises ``ValueError``; a zero count runs that check on nothing.
     """
+    counts = dict(
+        n_gap_joints=n_gap_joints, n_ci=n_ci, n_dep=n_dep, n_pairs=n_pairs, n_sparse=n_sparse, n_lp=n_lp
+    )
+    negative = [f"{name}={v}" for name, v in counts.items() if v < 0]
+    if negative:
+        raise ValueError(f"verify counts must be >= 0, got {', '.join(negative)}")
     t0 = time.perf_counter()
     rng = derive_rng(seed, "oracle-verify")
     checks: dict[str, dict] = {}

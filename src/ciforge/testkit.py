@@ -38,6 +38,9 @@ from .core import (
 from .errors import SchemaMismatch, TooFewRows
 from .mimic import MimicConfig, fit_reg_mimic, mimic_apply
 
+#: Train/validation/test fractions of the classifiers' stratified split.
+TVS = (0.5, 0.25, 0.25)
+
 
 def child_seed(seed: int, label: str) -> int:
     """A stable 63-bit child seed for a named subsystem."""
@@ -66,7 +69,6 @@ class TestConfig:
     alpha: float | None = 0.05
     tau: float | None = None
     seed: int = DEFAULT_SEED
-    tvs: tuple[float, float, float] = (0.5, 0.25, 0.25)
     mimic_config: MimicConfig = field(default_factory=MimicConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
 
@@ -77,8 +79,6 @@ class TestConfig:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.tau is not None and not self.tau >= 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if abs(sum(self.tvs) - 1.0) > 1e-9 or any(f <= 0 for f in self.tvs):
-            raise ValueError("tvs fractions must be positive and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
         raise SchemaMismatch("test needs at least one x and one y column")
     seed = config.seed
 
-    plan = split_three_way(ds, seed)
-    d1 = ds.take(plan.thirds[0])
-    d2 = ds.take(plan.thirds[1])
-    d3 = ds.take(plan.thirds[2])
+    d1, d2, d3 = (ds.take(rows) for rows in split_three_way(ds, seed))
 
     model = fit_reg_mimic(d2, config.mimic_config, seed=child_seed(seed, "mimic-fit"))
     d_prime = mimic_apply(model, d3, seed=child_seed(seed, "mimic-noise"))
@@ -154,7 +151,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     )
 
     rng = derive_rng(seed, "tvt-split")
-    idx_t, idx_v, idx_s = stratified_three_split(labeled.labels, config.tvs, rng)
+    idx_t, idx_v, idx_s = stratified_three_split(labeled.labels, TVS, rng)
     part_t, part_v, part_s = labeled.take(idx_t), labeled.take(idx_v), labeled.take(idx_s)
 
     f1 = gbt_train(strip_x(part_t), strip_x(part_v), config.gbt)

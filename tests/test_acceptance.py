@@ -212,7 +212,7 @@ def _random_mlp(rng, loss):
     t = rng.standard_normal((8, d_out))
     if loss == "logistic":
         t = (t > 0).astype(float)
-    model = mlp_train(x, t, MlpConfig(widths=widths, epochs=0, seed=int(rng.integers(1000)), loss=loss))
+    model = mlp_train(x, t, MlpConfig(widths=widths, epochs=0), seed=int(rng.integers(1000)), loss=loss)
     return model, x, t
 
 

@@ -244,6 +244,16 @@ class TestRelations:
         assert code == 2
         assert "label" in err
 
+    def test_duplicate_header_name_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "table.csv"
+        data.write_text("u,v,u\n" + "\n".join(f"{i}.0,{i+1}.0,{i%7}.0" for i in range(70)) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label\nu,v,,NOTCI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "duplicate" in err and "u" in err
+
 
 class TestVerify:
     def test_passes_on_correct_build(self, capsys):
@@ -255,6 +265,14 @@ class TestVerify:
         assert rep["all_pass"] is True
         assert all(c["pass"] for c in rep["checks"].values() if c["gating"])
         assert "all_pass=True" in stderr
+
+    def test_negative_count_exits_two(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--joints", "-5", "--ci-joints", "-2", "--pairs", "-1", "--seed", "1",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "must be >= 0" in stderr
 
 
 class TestUsage:
@@ -335,6 +353,11 @@ class TestUsage:
             {"mimic_config": {"seed": 5}},
             {"mimic_config": {"categorical_table": True}},
             {"mimic_config": {"regressor": "mlp"}},
+            {"tvs": [0.5, 0.25, 0.25]},
+            {"mimic_config": {"tree_lr": 0.1}},
+            {"mimic_config": {"tree_depth": 3}},
+            {"mimic_config": {"mlp": {"seed": 0}}},
+            {"mimic_config": {"mlp": {"loss": "squared"}}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):

@@ -37,25 +37,25 @@ def make_dataset(n=12, n_x=1, n_y=1, n_z=5, seed=0, categorical_z=False):
 
 class TestSplitThreeWay:
     def test_nine_rows_gives_equal_thirds(self):
-        plan = split_three_way(make_dataset(n=9), seed=1)
-        sizes = [len(t) for t in plan.thirds]
+        thirds = split_three_way(make_dataset(n=9), seed=1)
+        sizes = [len(t) for t in thirds]
         assert sizes == [3, 3, 3]
-        union = np.concatenate(plan.thirds)
+        union = np.concatenate(thirds)
         assert sorted(union) == list(range(9))
 
     def test_ten_rows_remainder_goes_to_first_set(self):
-        plan = split_three_way(make_dataset(n=10), seed=1)
-        assert [len(t) for t in plan.thirds] == [4, 3, 3]
+        thirds = split_three_way(make_dataset(n=10), seed=1)
+        assert [len(t) for t in thirds] == [4, 3, 3]
 
     def test_eleven_rows_remainder_first_then_second(self):
-        plan = split_three_way(make_dataset(n=11), seed=1)
-        assert [len(t) for t in plan.thirds] == [4, 4, 3]
+        thirds = split_three_way(make_dataset(n=11), seed=1)
+        assert [len(t) for t in thirds] == [4, 4, 3]
 
     def test_deterministic(self):
         ds = make_dataset(n=600)
         a = split_three_way(ds, seed=7)
         b = split_three_way(ds, seed=7)
-        for ta, tb in zip(a.thirds, b.thirds):
+        for ta, tb in zip(a, b):
             assert np.array_equal(ta, tb)
 
     def test_too_few_rows(self):
@@ -66,13 +66,13 @@ class TestSplitThreeWay:
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, n, seed):
         """Disjoint thirds covering all rows, sizes within the remainder rule."""
-        plan = split_three_way(make_dataset(n=n, n_z=1), seed=seed)
-        union = np.concatenate(plan.thirds)
+        thirds = split_three_way(make_dataset(n=n, n_z=1), seed=seed)
+        union = np.concatenate(thirds)
         assert len(union) == n
         assert len(np.unique(union)) == n
-        sizes = sorted(len(t) for t in plan.thirds)
+        sizes = sorted(len(t) for t in thirds)
         assert sizes[-1] - sizes[0] <= 1
-        assert len(plan.thirds[2]) == n // 3
+        assert len(thirds[2]) == n // 3
 
 
 class TestStripX:
@@ -167,6 +167,12 @@ class TestCsvRoundTrip:
         assert names == ["praf", "pmek", "plcg"]
         assert matrix.shape == (2, 3)
         assert cols["pmek"].kind == "continuous"
+
+    def test_read_table_rejects_duplicate_names(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("u,v,u,w,w\n1.0,2.0,3.0,4.0,5.0\n")
+        with pytest.raises(SchemaMismatch, match="u, w"):
+            read_table(p)
 
 
 class TestRelationFile:

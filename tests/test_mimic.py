@@ -130,7 +130,7 @@ class TestFitRegMimic:
 class TestMlpRegressionMimic:
     """The neural-net regressor, chosen above ``TREES_MAX_Z`` z columns."""
 
-    FAST_MLP = MlpConfig(widths=(8,), epochs=3, loss="squared")
+    FAST_MLP = MlpConfig(widths=(8,), epochs=3)
 
     def test_deterministic_under_seed_and_x_z_pass_through(self):
         d2 = yz_dataset(n=200, n_y=2, n_z=TREES_MAX_Z + 1, seed=21)

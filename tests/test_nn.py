@@ -16,7 +16,7 @@ def random_model(rng, loss, widths=None):
     t = rng.standard_normal((8, d_out))
     if loss == "logistic":
         t = (t > 0).astype(float)
-    model = mlp_train(x, t, MlpConfig(widths=widths, epochs=0, seed=int(rng.integers(1000)), loss=loss))
+    model = mlp_train(x, t, MlpConfig(widths=widths, epochs=0), seed=int(rng.integers(1000)), loss=loss)
     return model, x, t
 
 
@@ -52,7 +52,7 @@ class TestTraining:
         rng = derive_rng(2, "fit")
         x = rng.standard_normal((100, 1))
         y = 2.0 * x[:, 0]
-        model = mlp_train(x, y, MlpConfig(widths=(8,), epochs=500, batch=16, lr=0.05, seed=3))
+        model = mlp_train(x, y, MlpConfig(widths=(8,), epochs=500, batch=16, lr=0.05), seed=3)
         mse = _loss_value(model.forward(x), y[:, None], "squared")
         assert mse < 1e-2
 
@@ -60,10 +60,10 @@ class TestTraining:
         rng = derive_rng(3, "zero-epochs")
         x = rng.standard_normal((20, 2))
         y = rng.standard_normal(20)
-        cfg = MlpConfig(widths=(4,), epochs=0, seed=7)
-        model = mlp_train(x, y, cfg)
+        cfg = MlpConfig(widths=(4,), epochs=0)
+        model = mlp_train(x, y, cfg, seed=7)
         assert len(model.loss_history) == 1
-        again = mlp_train(x, y, cfg)
+        again = mlp_train(x, y, cfg, seed=7)
         for w1, w2 in zip(model.weights, again.weights):
             assert np.array_equal(w1, w2)
 
@@ -71,9 +71,9 @@ class TestTraining:
         rng = derive_rng(4, "det")
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        cfg = MlpConfig(widths=(6, 4), epochs=20, batch=8, lr=0.02, seed=13)
-        a = mlp_train(x, y, cfg)
-        b = mlp_train(x, y, cfg)
+        cfg = MlpConfig(widths=(6, 4), epochs=20, batch=8, lr=0.02)
+        a = mlp_train(x, y, cfg, seed=13)
+        b = mlp_train(x, y, cfg, seed=13)
         for w1, w2 in zip(a.weights + a.biases, b.weights + b.biases):
             assert np.array_equal(w1, w2)
 
@@ -82,7 +82,7 @@ class TestTraining:
         for seed in range(5):
             x = rng.standard_normal((40, 2))
             y = rng.standard_normal(40)
-            model = mlp_train(x, y, MlpConfig(widths=(5,), epochs=15, batch=4, lr=0.3, seed=seed))
+            model = mlp_train(x, y, MlpConfig(widths=(5,), epochs=15, batch=4, lr=0.3), seed=seed)
             fitted = _loss_value(model.forward(x), y[:, None], "squared")
             assert fitted <= model.loss_history[0] + 1e-12
 
@@ -91,7 +91,7 @@ class TestTraining:
         rng = derive_rng(6, "mono")
         x = rng.standard_normal((60, 2))
         y = 0.5 * x[:, 0] - 0.3 * x[:, 1]
-        model = mlp_train(x, y, MlpConfig(widths=(4,), epochs=50, batch=60, lr=0.01, seed=2))
+        model = mlp_train(x, y, MlpConfig(widths=(4,), epochs=50, batch=60, lr=0.01), seed=2)
         hist = model.loss_history
         assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
@@ -100,7 +100,7 @@ class TestTraining:
         x = 100.0 * rng.standard_normal((30, 2))
         y = 100.0 * rng.standard_normal(30)
         with pytest.raises(NonFiniteLoss):
-            mlp_train(x, y, MlpConfig(widths=(8,), epochs=200, batch=30, lr=1e4, seed=1))
+            mlp_train(x, y, MlpConfig(widths=(8,), epochs=200, batch=30, lr=1e4), seed=1)
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyData):
@@ -110,6 +110,6 @@ class TestTraining:
         rng = derive_rng(8, "prob")
         x = rng.standard_normal((40, 2))
         y = (x[:, 0] > 0).astype(float)
-        model = mlp_train(x, y, MlpConfig(widths=(4,), epochs=30, loss="logistic", seed=0))
+        model = mlp_train(x, y, MlpConfig(widths=(4,), epochs=30), loss="logistic", seed=0)
         p = model.predict(x)
         assert np.all((p > 0) & (p < 1))

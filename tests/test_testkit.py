@@ -1,5 +1,6 @@
 """End-to-end test orchestration and p-values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,8 +142,6 @@ class TestCiTest:
                 TestConfig(**{removed: None})
         with pytest.raises(ValueError):
             TestConfig(alpha=None, tau=None)
-        with pytest.raises(ValueError):
-            TestConfig(tvs=(0.5, 0.2, 0.2))
         for alpha in (0.0, 2.0, -0.5, float("nan")):
             with pytest.raises(ValueError):
                 TestConfig(alpha=alpha)
@@ -151,6 +150,35 @@ class TestCiTest:
                 TestConfig(alpha=None, tau=tau)
         assert TestConfig(alpha=1.0).alpha == 1.0
         assert TestConfig(alpha=None, tau=0.0).tau == 0.0
+
+    def test_settable_config_values_are_pinned(self):
+        """Every leaf a ``--config`` file can set; a new knob must show up here."""
+
+        def leaves(cfg, prefix=""):
+            for f in dataclasses.fields(cfg):
+                value = getattr(cfg, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        assert sorted(leaves(TestConfig())) == sorted(
+            [
+                "alpha",
+                "tau",
+                "seed",
+                "mimic_config.tree_rounds",
+                "mimic_config.mlp.widths",
+                "mimic_config.mlp.epochs",
+                "mimic_config.mlp.batch",
+                "mimic_config.mlp.lr",
+                "gbt.rounds",
+                "gbt.max_depth",
+                "gbt.learning_rate",
+                "gbt.l2",
+                "gbt.min_child_weight",
+            ]
+        )
 
     def test_json_round_trip(self):
         import json
