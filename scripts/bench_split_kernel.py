@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Median wall time of three seeded boosted-tree fits: the split search's hot layer.
+
+Workloads, each fitted ``--repeats`` times on the same seeded inputs:
+
+* ``regressor``: the regression mimic's booster (squared loss, 200 rounds,
+  depth 3) on 1000 rows of 20 continuous features;
+* ``classifier_continuous``: ``fit_boosted_trees`` with the default
+  ``GbtConfig`` on 1000 training rows of 22 continuous features;
+* ``classifier_one_hot``: the same on 2000 rows of three one-hot encoded
+  3-level columns (9 features).
+
+Each entry reports the median and every run in seconds, the trees and split
+nodes built, and a sha256 over every tree's arrays, so two versions of the
+package can be checked for bit-identical fits as well as timed.  Run it from
+the repository root; set PYTHONPATH to the ``src`` directory to time.
+
+Usage:
+    python scripts/bench_split_kernel.py [--repeats 5] [--scale 1.0] [--rounds 200]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from ciforge.classify import GbtConfig, fit_boosted_regressor, fit_boosted_trees  # noqa: E402
+from ciforge.mimic import TREE_DEPTH, TREE_LR  # noqa: E402
+
+
+def _continuous(rng, n, d):
+    f = rng.standard_normal((n, d))
+    w = rng.standard_normal(d) / np.sqrt(d)
+    return f, f @ w
+
+
+def _one_hot(rng, n, columns=3, levels=3):
+    codes = rng.integers(0, levels, (n, columns))
+    f = np.zeros((n, columns * levels))
+    for c in range(columns):
+        f[np.arange(n), c * levels + codes[:, c]] = 1.0
+    return f, rng.standard_normal((levels,) * columns)[tuple(codes.T)]
+
+
+def _labels(rng, signal):
+    return (rng.random(signal.size) < 1.0 / (1.0 + np.exp(-2.0 * signal))).astype(np.float64)
+
+
+def workloads(scale: float, rounds: int, seed: int = 0):
+    """name -> (zero-argument fit, shape of its training matrix)."""
+    rng = np.random.default_rng(seed)
+    n_reg, n_cont, n_hot = (max(4, int(round(k * scale))) for k in (1000, 1000, 2000))
+
+    f_reg, s = _continuous(rng, n_reg, 20)
+    y_reg = np.tanh(s) + 0.3 * rng.standard_normal(n_reg)
+
+    f_all, s = _continuous(rng, n_cont + n_cont // 2, 22)
+    y_all = _labels(rng, s)
+    cont = (f_all[:n_cont], y_all[:n_cont], f_all[n_cont:], y_all[n_cont:])
+
+    f_all, s = _one_hot(rng, n_hot + n_hot // 2)
+    y_all = _labels(rng, s)
+    hot = (f_all[:n_hot], y_all[:n_hot], f_all[n_hot:], y_all[n_hot:])
+
+    cfg = GbtConfig(rounds=rounds)
+    return {
+        "regressor": (
+            lambda: fit_boosted_regressor(f_reg, y_reg, rounds=rounds, learning_rate=TREE_LR, max_depth=TREE_DEPTH),
+            f_reg.shape,
+        ),
+        "classifier_continuous": (lambda: fit_boosted_trees(*cont, cfg), cont[0].shape),
+        "classifier_one_hot": (lambda: fit_boosted_trees(*hot, cfg), hot[0].shape),
+    }
+
+
+def digest(model) -> str:
+    h = hashlib.sha256(str(model.best_round).encode())
+    for t in model.trees:
+        for a in (t.feature, t.threshold, t.left, t.right, t.value):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5, help="timed fits per workload")
+    ap.add_argument("--scale", type=float, default=1.0, help="multiplies every workload's row count")
+    ap.add_argument("--rounds", type=int, default=200, help="boosting rounds (a cap for the classifiers)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or args.rounds < 1 or not args.scale > 0:
+        ap.error("--repeats and --rounds must be >= 1 and --scale > 0")
+
+    out = {}
+    for name, (fit, shape) in workloads(args.scale, args.rounds).items():
+        runs = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            model = fit()
+            runs.append(time.perf_counter() - t0)
+        median = statistics.median(runs)
+        out[name] = {
+            "shape": list(shape),
+            "median_s": median,
+            "runs_s": runs,
+            "trees": len(model.trees),
+            "split_nodes": sum(int((t.feature >= 0).sum()) for t in model.trees),
+            "sha256": digest(model),
+        }
+        print(f"{name:22s} {median:.4f} s  ({len(model.trees)} trees)", file=sys.stderr)
+    env = {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "nproc": os.cpu_count()}
+    print(json.dumps({"env": env, "repeats": args.repeats, "scale": args.scale, "rounds": args.rounds, "workloads": out}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

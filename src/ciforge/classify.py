@@ -16,6 +16,14 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   cumsum adds in the same sequence as a 1-D one, node sums run over rows in
   ascending order, and the first maximum along and then across the rows
   keeps both tie-breaks;
+* the split search skips two kinds of work that cannot change a tree.  With
+  a unit hessian (``build(g, None)``, as the squared-loss regressor uses)
+  a node's left hessian sums are the row counts 1..m, read from one shared
+  row instead of a gathered cumsum; integer sums of 1.0 are exact in
+  float64, so they equal that cumsum bit for bit.  A feature with no
+  repeated value among all training rows has none among a node's rows, so
+  every cut of it lies between distinct values and only features with
+  repeats gather their values to find the boundaries;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -159,9 +167,18 @@ class _TreeBuilder:
         self.order = np.argsort(self.f_t, axis=1, kind="stable")
         # Add to a row id to find it in f_t.ravel() under each feature.
         self.offsets = (np.arange(f.shape[1]) * f.shape[0])[:, None]
+        # Features with a repeated value; a node's rows are a subset of all
+        # rows, so every other feature has no tie in any node.
+        ranked = np.take_along_axis(self.f_t, self.order, axis=1)
+        self.tied = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=1))
+        # Left hessian sums of a node's first 1..m sorted rows under a unit
+        # hessian: counts, exact in float64.
+        self.counts = np.arange(1.0, f.shape[0] + 1.0)[None, :]
 
-    def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
-        """Grow one tree; also return the leaf value of every training row."""
+    def build(self, g: np.ndarray, h: np.ndarray | None) -> tuple[Tree, np.ndarray]:
+        """Grow one tree; also return the leaf value of every training row.
+
+        ``h is None`` means a unit hessian: its sums are row counts."""
         cfg = self.cfg
         d = self.f_t.shape[0]
         feature, threshold, left, right, value = [], [], [], [], []
@@ -178,7 +195,7 @@ class _TreeBuilder:
         def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
             # rows stay ascending, so a node sum adds its operands in row order.
             g_sum = float(g[rows].sum())
-            h_sum = float(h[rows].sum())
+            h_sum = float(rows.size) if h is None else float(h[rows].sum())
             split = None if depth >= cfg.max_depth else self._best_split(order, g, h, g_sum, h_sum)
             if split is None:
                 v = -g_sum / (h_sum + cfg.l2) * cfg.learning_rate
@@ -211,24 +228,42 @@ class _TreeBuilder:
         )
         return tree, row_values
 
+    def _boundaries(self, order: np.ndarray) -> np.ndarray:
+        """(d, m) mask of the cuts between distinct values.
+
+        Column k is the cut between sorted positions k and k + 1; the last
+        column has no right side and stays False.
+        """
+        ok = np.zeros(order.shape, dtype=bool)
+        tied = self.tied
+        if tied.size == order.shape[0]:
+            v = self.f_t.ravel()[order + self.offsets]
+            np.not_equal(v[:, :-1], v[:, 1:], out=ok[:, :-1])
+            return ok
+        ok[:, :-1] = True  # a tie-free feature has a boundary at every cut
+        if tied.size:
+            v = self.f_t.ravel()[order[tied] + self.offsets[tied]]
+            ok[tied, :-1] = v[:, :-1] != v[:, 1:]
+        return ok
+
     def _best_split(self, order, g, h, g_sum, h_sum):
         """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
         cfg = self.cfg
         if order.shape[1] < 2:
             return None
-        # Column k scores the cut between sorted positions k and k + 1; the
-        # last column has no right side and is masked out.
-        v = self.f_t.ravel()[order + self.offsets]
-        ok = np.zeros(v.shape, dtype=bool)
-        np.not_equal(v[:, :-1], v[:, 1:], out=ok[:, :-1])  # boundaries between distinct values
-        del v
+        ok = self._boundaries(order)
         # cumsum along a row is a sequential add, as on a 1-D array, and the
         # in-place steps below are the IEEE operations of
         # gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent.
         gl = g[order]
         np.cumsum(gl, axis=1, out=gl)
-        hl = h[order]
-        np.cumsum(hl, axis=1, out=hl)
+        if h is None:
+            # One (1, m) row that broadcasts over the d features; a copy,
+            # since hl is updated in place below.
+            hl = self.counts[:, : order.shape[1]].copy()
+        else:
+            hl = h[order]
+            np.cumsum(hl, axis=1, out=hl)
         gr = g_sum - gl
         hr = h_sum - hl
         ok &= hl >= cfg.min_child_weight
@@ -340,16 +375,20 @@ def fit_boosted_trees(
 def fit_boosted_regressor(
     f: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, max_depth: int = 1
 ) -> BoostedTrees:
-    """Squared-loss boosting (unit hessian); depth 1 gives boosted stumps."""
+    """Squared-loss boosting; depth 1 gives boosted stumps.
+
+    The hessian is 1 on every row, so trees are built with ``h=None``: a
+    node's hessian sums are its exact row counts, bit-equal to summing an
+    array of ones, and no hessian array is gathered or accumulated.
+    """
     cfg = GbtConfig(rounds=rounds, max_depth=max_depth, learning_rate=learning_rate, min_child_weight=1.0)
     y = np.asarray(y, dtype=np.float64)
     builder = _TreeBuilder(f, cfg)
     pred = np.zeros(f.shape[0])
     trees: list[Tree] = []
-    ones = np.ones(f.shape[0])
     losses = [float(np.mean((pred - y) ** 2))]
     for _ in range(rounds):
-        tree, delta = builder.build(pred - y, ones)
+        tree, delta = builder.build(pred - y, None)
         pred = pred + delta
         trees.append(tree)
         losses.append(float(np.mean((pred - y) ** 2)))

@@ -281,8 +281,19 @@ def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str
     meta = _read_sidecar(sidecar_path)
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise SchemaMismatch(f"{str(path)!r} has no header row")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaMismatch(
+                    f"data row {len(rows) + 1} (line {reader.line_num}) has {len(row)} cells, "
+                    f"the header has {len(header)}"
+                )
+            rows.append([float(v) for v in row])
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise SchemaMismatch(f"duplicate column name(s) in the CSV header: {', '.join(repeated)}")

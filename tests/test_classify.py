@@ -349,8 +349,11 @@ def make_column(kind, n, rng):
     return np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, 2.0))
 
 
+_GRADIENTS = ("logistic", "logistic_dyadic", "unit", "unit_integer")
+
+
 @st.composite
-def split_problems(draw):
+def split_problems(draw, gradients=_GRADIENTS):
     n = draw(st.integers(2, 80))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -358,7 +361,7 @@ def split_problems(draw):
     if draw(st.booleans()):  # duplicated rows tie on every feature at once
         f = f[rng.integers(0, n, n)]
     y = (rng.random(n) < 0.5).astype(np.float64)
-    gradient = draw(st.sampled_from(("logistic", "logistic_dyadic", "unit", "unit_integer")))
+    gradient = draw(st.sampled_from(gradients))
     if gradient == "logistic":
         p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
     elif gradient == "logistic_dyadic":  # exact sums: gains tie across cuts
@@ -415,6 +418,43 @@ class TestTreeBuilder:
             g, h = rng.standard_normal(300), rng.random(300)
             tree, _ = builder.build(g, h)
             assert_same_tree(tree, reference_build(f, g, h, cfg))
+
+    # build(g, None) takes its hessian sums from row counts, and a feature
+    # with no repeated value skips the boundary gather; both must give
+    # exactly the trees of the general path.
+    @settings(max_examples=200, deadline=None)
+    @given(split_problems(gradients=("unit", "unit_integer")))
+    def test_unit_hessian_matches_explicit_ones(self, problem):
+        f, g, h, cfg = problem
+        tree, row_values = _TreeBuilder(f, cfg).build(g, None)
+        assert_same_tree(tree, reference_build(f, g, np.ones(f.shape[0]), cfg))
+        assert np.array_equal(row_values, reference_predict(tree, f))
+
+    @pytest.mark.parametrize(
+        "kinds, tied",
+        [
+            (("continuous", "continuous", "continuous"), []),
+            (("ties", "one_hot", "constant", "adjacent"), [0, 1, 2, 3]),
+            (("continuous", "ties", "continuous", "one_hot"), [1, 3]),
+        ],
+        ids=["no_feature_tied", "every_feature_tied", "mixed"],
+    )
+    def test_boundary_mask_cases(self, kinds, tied):
+        rng = derive_rng(31, "fast-paths")
+        n = 240
+        f = np.column_stack([make_column(k, n, rng) for k in kinds])
+        y = (f[:, 0] + rng.standard_normal(n) > 0.5).astype(np.float64)
+        cfg = GbtConfig(max_depth=4, min_child_weight=3.0)
+        builder = _TreeBuilder(f, cfg)
+        assert builder.tied.tolist() == tied
+        for _ in range(3):  # a reused builder must not carry state between builds
+            p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
+            for g, h in ((p - y, p * (1.0 - p)), (rng.standard_normal(n), None)):
+                tree, row_values = builder.build(g, h)
+                ref = reference_build(f, g, np.ones(n) if h is None else h, cfg)
+                assert_same_tree(tree, ref)
+                assert np.array_equal(row_values, reference_predict(tree, f))
+                assert tree.depth > 1
 
 
 class TestGoldenReports:

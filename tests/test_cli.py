@@ -254,6 +254,28 @@ class TestRelations:
         assert stdout == ""
         assert "duplicate" in err and "u" in err
 
+    def test_empty_csv_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "table.csv"
+        data.write_text("")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label\nu,v,,NOTCI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "no header row" in err
+
+    def test_short_row_is_an_error(self, tmp_path, capsys):
+        rows = [f"{i}.0,{i+1}.0,{i%7}.0" for i in range(70)]
+        rows[4] = "4.0,5.0"
+        data = tmp_path / "table.csv"
+        data.write_text("u,v,w\n" + "\n".join(rows) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label\nu,v,,NOTCI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "data row 5 (line 6) has 2 cells, the header has 3" in err
+
 
 class TestVerify:
     def test_passes_on_correct_build(self, capsys):

@@ -29,3 +29,13 @@ def test_power_benchmark(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 120
     assert [p["d_z"] for p in report["points"]] == [1]
+
+
+def test_bench_split_kernel(capsys):
+    script = load_script("bench_split_kernel")
+    assert script.main(["--repeats", "1", "--scale", "0.02", "--rounds", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["workloads"]) == {"regressor", "classifier_continuous", "classifier_one_hot"}
+    reg = report["workloads"]["regressor"]
+    assert reg["shape"] == [20, 20] and reg["trees"] == 2 and len(reg["runs_s"]) == 1
+    assert report["workloads"]["classifier_one_hot"]["shape"] == [40, 9]
