@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Median wall time of three seeded boosted-tree fits: the split search's hot layer.
+"""Median wall time of two seeded boosted-tree fits: the split search's hot layer.
 
 Workloads, each fitted ``--repeats`` times on the same seeded inputs:
 
-* ``regressor``: the regression mimic's booster (squared loss, 200 rounds,
-  depth 3) on 1000 rows of 20 continuous features;
 * ``classifier_continuous``: ``fit_boosted_trees`` with the default
   ``GbtConfig`` on 1000 training rows of 22 continuous features;
 * ``classifier_one_hot``: the same on 2000 rows of three one-hot encoded
@@ -33,8 +31,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ciforge.classify import GbtConfig, fit_boosted_regressor, fit_boosted_trees  # noqa: E402
-from ciforge.mimic import TREE_DEPTH, TREE_LR  # noqa: E402
+from ciforge.classify import GbtConfig, fit_boosted_trees  # noqa: E402
 
 
 def _continuous(rng, n, d):
@@ -58,10 +55,12 @@ def _labels(rng, signal):
 def workloads(scale: float, rounds: int, seed: int = 0):
     """name -> (zero-argument fit, shape of its training matrix)."""
     rng = np.random.default_rng(seed)
-    n_reg, n_cont, n_hot = (max(4, int(round(k * scale))) for k in (1000, 1000, 2000))
+    n_skip, n_cont, n_hot = (max(4, int(round(k * scale))) for k in (1000, 1000, 2000))
 
-    f_reg, s = _continuous(rng, n_reg, 20)
-    y_reg = np.tanh(s) + 0.3 * rng.standard_normal(n_reg)
+    # The first draws once fed a regressor workload; drawing them still keeps
+    # every input, and so every digest, equal to BENCH_split_kernel.json's.
+    _continuous(rng, n_skip, 20)
+    rng.standard_normal(n_skip)
 
     f_all, s = _continuous(rng, n_cont + n_cont // 2, 22)
     y_all = _labels(rng, s)
@@ -73,10 +72,6 @@ def workloads(scale: float, rounds: int, seed: int = 0):
 
     cfg = GbtConfig(rounds=rounds)
     return {
-        "regressor": (
-            lambda: fit_boosted_regressor(f_reg, y_reg, rounds=rounds, learning_rate=TREE_LR, max_depth=TREE_DEPTH),
-            f_reg.shape,
-        ),
         "classifier_continuous": (lambda: fit_boosted_trees(*cont, cfg), cont[0].shape),
         "classifier_one_hot": (lambda: fit_boosted_trees(*hot, cfg), hot[0].shape),
     }

@@ -33,7 +33,7 @@ from .datagen import (
     gen_postnonlinear,
     sample_discrete,
 )
-from .mimic import MimicConfig, MimicModel, fit_reg_mimic, mimic_apply
+from .mimic import MimicModel, fit_reg_mimic, mimic_apply
 from .nn import MlpConfig, mlp_grad_check, mlp_train
 from .oracle import (
     DiscreteDist,
@@ -63,7 +63,6 @@ __all__ = [
     "GapReport",
     "GbtConfig",
     "LabeledDataset",
-    "MimicConfig",
     "MimicModel",
     "MlpConfig",
     "PostNonlinearConfig",

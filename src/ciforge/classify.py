@@ -16,14 +16,9 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   cumsum adds in the same sequence as a 1-D one, node sums run over rows in
   ascending order, and the first maximum along and then across the rows
   keeps both tie-breaks;
-* the split search skips two kinds of work that cannot change a tree.  With
-  a unit hessian (``build(g, None)``, as the squared-loss regressor uses)
-  a node's left hessian sums are the row counts 1..m, read from one shared
-  row instead of a gathered cumsum; integer sums of 1.0 are exact in
-  float64, so they equal that cumsum bit for bit.  A feature with no
-  repeated value among all training rows has none among a node's rows, so
-  every cut of it lies between distinct values and only features with
-  repeats gather their values to find the boundaries;
+* a feature with no repeated value among all training rows has none among
+  a node's rows, so every cut of it lies between distinct values and only
+  features with repeats gather their values to find the boundaries;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -171,14 +166,9 @@ class _TreeBuilder:
         # rows, so every other feature has no tie in any node.
         ranked = np.take_along_axis(self.f_t, self.order, axis=1)
         self.tied = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=1))
-        # Left hessian sums of a node's first 1..m sorted rows under a unit
-        # hessian: counts, exact in float64.
-        self.counts = np.arange(1.0, f.shape[0] + 1.0)[None, :]
 
-    def build(self, g: np.ndarray, h: np.ndarray | None) -> tuple[Tree, np.ndarray]:
-        """Grow one tree; also return the leaf value of every training row.
-
-        ``h is None`` means a unit hessian: its sums are row counts."""
+    def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
+        """Grow one tree; also return the leaf value of every training row."""
         cfg = self.cfg
         d = self.f_t.shape[0]
         feature, threshold, left, right, value = [], [], [], [], []
@@ -195,7 +185,7 @@ class _TreeBuilder:
         def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
             # rows stay ascending, so a node sum adds its operands in row order.
             g_sum = float(g[rows].sum())
-            h_sum = float(rows.size) if h is None else float(h[rows].sum())
+            h_sum = float(h[rows].sum())
             split = None if depth >= cfg.max_depth else self._best_split(order, g, h, g_sum, h_sum)
             if split is None:
                 v = -g_sum / (h_sum + cfg.l2) * cfg.learning_rate
@@ -257,13 +247,8 @@ class _TreeBuilder:
         # gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent.
         gl = g[order]
         np.cumsum(gl, axis=1, out=gl)
-        if h is None:
-            # One (1, m) row that broadcasts over the d features; a copy,
-            # since hl is updated in place below.
-            hl = self.counts[:, : order.shape[1]].copy()
-        else:
-            hl = h[order]
-            np.cumsum(hl, axis=1, out=hl)
+        hl = h[order]
+        np.cumsum(hl, axis=1, out=hl)
         gr = g_sum - gl
         hr = h_sum - hl
         ok &= hl >= cfg.min_child_weight
@@ -370,29 +355,6 @@ def fit_boosted_trees(
         elif len(val_loss) - 1 - best_round >= PATIENCE:
             break
     return BoostedTrees(trees, best_round, train_loss, val_loss)
-
-
-def fit_boosted_regressor(
-    f: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, max_depth: int = 1
-) -> BoostedTrees:
-    """Squared-loss boosting; depth 1 gives boosted stumps.
-
-    The hessian is 1 on every row, so trees are built with ``h=None``: a
-    node's hessian sums are its exact row counts, bit-equal to summing an
-    array of ones, and no hessian array is gathered or accumulated.
-    """
-    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, learning_rate=learning_rate, min_child_weight=1.0)
-    y = np.asarray(y, dtype=np.float64)
-    builder = _TreeBuilder(f, cfg)
-    pred = np.zeros(f.shape[0])
-    trees: list[Tree] = []
-    losses = [float(np.mean((pred - y) ** 2))]
-    for _ in range(rounds):
-        tree, delta = builder.build(pred - y, None)
-        pred = pred + delta
-        trees.append(tree)
-        losses.append(float(np.mean((pred - y) ** 2)))
-    return BoostedTrees(trees, len(trees), losses, losses)
 
 
 # ---------------------------------------------------------------------------

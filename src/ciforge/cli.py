@@ -31,8 +31,6 @@ from .core import (
 )
 from .datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
 from .errors import CiforgeError
-from .mimic import MimicConfig
-from .nn import MlpConfig
 from .oracle import run_verify
 from .testkit import TestConfig, ci_test
 
@@ -76,13 +74,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# Config fields that are themselves config objects, built from nested JSON.
-_NESTED = {
-    TestConfig: {"mimic_config": MimicConfig, "gbt": GbtConfig},
-    MimicConfig: {"mlp": MlpConfig},
-}
-
-
 def _config_kwargs(cls, given, where: str) -> dict:
     """Keyword arguments for the config class ``cls`` from a JSON object."""
     if not isinstance(given, dict):
@@ -90,16 +81,13 @@ def _config_kwargs(cls, given, where: str) -> dict:
     unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
         raise CiforgeError(f"unknown key(s) under '{where}' in --config: {', '.join(unknown)}")
-    # The sequence field (widths) is a tuple; JSON only has lists.
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
-    for key, sub in _NESTED.get(cls, {}).items():
-        if key in kwargs:
-            kwargs[key] = sub(**_config_kwargs(sub, kwargs[key], f"{where}.{key}"))
-    return kwargs
+    return dict(given)
 
 
 def _tester_from(args, file_cfg: dict) -> TestConfig:
     kwargs = _config_kwargs(TestConfig, file_cfg.get("tester", {}), "tester")
+    if "gbt" in kwargs:
+        kwargs["gbt"] = GbtConfig(**_config_kwargs(GbtConfig, kwargs["gbt"], "tester.gbt"))
     if getattr(args, "tau", None) is not None:
         kwargs["tau"] = args.tau
         kwargs.setdefault("alpha", None)

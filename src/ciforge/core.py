@@ -293,7 +293,16 @@ def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str
                     f"data row {len(rows) + 1} (line {reader.line_num}) has {len(row)} cells, "
                     f"the header has {len(header)}"
                 )
-            rows.append([float(v) for v in row])
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SchemaMismatch(
+                        f"data row {len(rows) + 1} (line {reader.line_num}), column {name!r}: "
+                        f"{cell!r} is not a number"
+                    ) from None
+            rows.append(values)
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise SchemaMismatch(f"duplicate column name(s) in the CSV header: {', '.join(repeated)}")

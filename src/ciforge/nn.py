@@ -1,10 +1,11 @@
 """Minimal multilayer perceptron with backpropagation.
 
-Numeric engine of the regression mimic's MLP regressor: tanh hidden
-layers, identity output for squared loss or logistic output for binary
-cross-entropy, mini-batch SGD with a fixed learning rate.  The boosted
-trees score their logistic loss with ``_loss_value`` as well.  No
-adaptive optimizers; determinism under a seed is part of the contract.
+Tanh hidden layers, identity output for squared loss or logistic output
+for binary cross-entropy, mini-batch SGD with a fixed learning rate.  The
+boosted trees take their sigmoid and score their logistic loss from here,
+and the acceptance battery grad-checks the network; the pipeline trains no
+MLP.  No adaptive optimizers; determinism under a seed is part of the
+contract.
 
 Feature standardization (mean/std of the training split) is fitted inside
 ``mlp_train`` and baked into the returned model, so inference never needs

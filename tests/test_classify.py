@@ -14,7 +14,6 @@ from ciforge.classify import (
     Tree,
     _TreeBuilder,
     classifier_error,
-    fit_boosted_regressor,
     fit_boosted_trees,
     gbt_train,
 )
@@ -143,14 +142,6 @@ class TestBoostedTrees:
         f, _ = blob_problem(n=100)
         with pytest.raises(SingleClass):
             fit_boosted_trees(f[:80], np.ones(80), f[80:], np.ones(20), GbtConfig())
-
-    def test_regressor_fits_step_function(self):
-        rng = derive_rng(4, "reg")
-        f = rng.standard_normal((800, 2))
-        y = np.where(f[:, 0] > 0, 2.0, -1.0)
-        reg = fit_boosted_regressor(f, y, rounds=100, learning_rate=0.2)
-        resid = y - reg.predict_margin(f)
-        assert float(resid.var()) < 0.01
 
 
 class TestDatasetClassifiers:
@@ -368,7 +359,7 @@ def split_problems(draw, gradients=_GRADIENTS):
         p = rng.choice([0.25, 0.5, 0.75], n)
     if gradient.startswith("logistic"):
         g, h = p - y, p * (1.0 - p)
-    elif gradient == "unit":  # the regressor's unit hessian
+    elif gradient == "unit":  # squared-loss gradients: a unit hessian
         g, h = rng.standard_normal(n), np.ones(n)
     else:
         g, h = rng.integers(-2, 3, n).astype(np.float64), np.ones(n)
@@ -419,17 +410,8 @@ class TestTreeBuilder:
             tree, _ = builder.build(g, h)
             assert_same_tree(tree, reference_build(f, g, h, cfg))
 
-    # build(g, None) takes its hessian sums from row counts, and a feature
-    # with no repeated value skips the boundary gather; both must give
-    # exactly the trees of the general path.
-    @settings(max_examples=200, deadline=None)
-    @given(split_problems(gradients=("unit", "unit_integer")))
-    def test_unit_hessian_matches_explicit_ones(self, problem):
-        f, g, h, cfg = problem
-        tree, row_values = _TreeBuilder(f, cfg).build(g, None)
-        assert_same_tree(tree, reference_build(f, g, np.ones(f.shape[0]), cfg))
-        assert np.array_equal(row_values, reference_predict(tree, f))
-
+    # A feature with no repeated value skips the boundary gather; the trees
+    # must be exactly those of the general path.
     @pytest.mark.parametrize(
         "kinds, tied",
         [
@@ -449,9 +431,9 @@ class TestTreeBuilder:
         assert builder.tied.tolist() == tied
         for _ in range(3):  # a reused builder must not carry state between builds
             p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
-            for g, h in ((p - y, p * (1.0 - p)), (rng.standard_normal(n), None)):
+            for g, h in ((p - y, p * (1.0 - p)), (rng.standard_normal(n), np.ones(n))):
                 tree, row_values = builder.build(g, h)
-                ref = reference_build(f, g, np.ones(n) if h is None else h, cfg)
+                ref = reference_build(f, g, h, cfg)
                 assert_same_tree(tree, ref)
                 assert np.array_equal(row_values, reference_predict(tree, f))
                 assert tree.depth > 1
@@ -495,20 +477,28 @@ class TestGoldenReports:
     ``config.mimic_config.tree_lr``, ``config.mimic_config.tree_depth``,
     ``config.mimic_config.mlp.seed`` and ``config.mimic_config.mlp.loss``
     deleted and re-dumped with ``sort_keys=True``; no other byte moved.
+
+    Re-pinned when the nearest-neighbour bootstrap replaced the regression
+    and table mimics: all three reports moved by design, and their
+    ``config`` echo lost ``mimic_config``.  pnl: e1 0.43 -> 0.51, e2
+    0.25 -> 0.35, gap 0.18 -> 0.16 (H0 both).  discrete: e1 0.51 -> 0.51,
+    e2 0.52 -> 0.45, gap 0.01 -> 0.06 (H0 both).  Categorical y,
+    continuous z: e1 0.45 -> 0.50, e2 0.41 -> 0.50, gap 0.04 -> 0.0 (H0
+    both).  The gap is now |e1 - e2| of the reported rates, bit for bit.
     """
 
     def test_pnl_report_digest(self):
         ds = gen_postnonlinear(PostNonlinearConfig(d_z=3, n=600, ci=False, a_xy=2.0, seed=11))
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f873a42138c10b3a0af4ffa920b2fee84e9ad790abfe94aaea7d62be1390c7d0"
+            "890a7595fb9dd5b1533bc94732dfcd3374de45dffa486712a0a5f56326ef975e"
         )
 
     def test_discrete_report_digest(self):
         ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=True, seed=12), 600, seed=13)
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "ac17d2d5e4afbb14e2f5d03aafa09fb543ac358cc96813ebf4680c726b250336"
+            "6cde50423b22f37a77be66709f4fcb462b6e2e7c9a13750fcb9fbbcab8d73e03"
         )
 
     def test_categorical_y_continuous_z_report_digest(self):
@@ -525,5 +515,5 @@ class TestGoldenReports:
         )
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8e48fdb2d75f962bdc2f374a0f5bf76da48a9c82f0ad72b064ed18c30a91f40e"
+            "6031626cc9b454d31c48963590d80300b3549b39368256bb02f5e82d1e3d3ffe"
         )

@@ -128,9 +128,21 @@ class TestTest:
         assert stdout == ""
         assert "sidecar" in stderr
 
-    def test_mixed_kind_y_exits_two(self, tmp_path, capsys):
-        """No mimic fits a y with one categorical and one continuous column;
-        the kinds come from the sidecar written next to the CSV."""
+    def test_non_numeric_cell_exits_two(self, h0_csv, tmp_path, capsys):
+        lines = h0_csv.read_text().splitlines()
+        lines[7] = ",".join(["1"] * (lines[7].count(",")) + ["two"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        column = lines[0].split(",")[-1]
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(bad), "--sidecar", str(h0_csv) + ".meta.json")
+        assert code == 2
+        assert stdout == ""
+        assert f"data row 7 (line 8), column {column!r}: 'two' is not a number" in stderr
+
+    def test_mixed_kind_y_runs(self, tmp_path, capsys):
+        """The mimic copies y rows whole, so a y with one categorical and one
+        continuous column is tested like any other; the kinds come from the
+        sidecar written next to the CSV."""
         import numpy as np
 
         from ciforge.core import Column, Dataset, derive_rng, write_dataset
@@ -142,16 +154,17 @@ class TestTest:
         path = tmp_path / "mixed.csv"
         write_dataset(ds, path, tmp_path / "mixed.csv.meta.json")
         code, stdout, stderr = run_cli(capsys, "test", "--data", str(path), "--seed", "3")
-        assert code == 2
-        assert stdout == ""
-        assert "mixes categorical and continuous" in stderr
+        assert code in (0, 1)
+        rep = json.loads(stdout)
+        assert code == (rep["decision"] == "H1")
+        assert "decision=" in stderr
 
     def test_config_echo_round_trips(self, h0_csv, tmp_path, capsys):
         """A report's config echo, fed back as --config, rebuilds the same
         TestConfig and the same report bytes."""
         from ciforge.cli import _tester_from, build_parser
 
-        first = {"tester": {"gbt": {"rounds": 15}, "mimic_config": {"tree_rounds": 15}}}
+        first = {"tester": {"gbt": {"rounds": 15}, "alpha": 0.1}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(first))
         _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--config", str(cfg), "--seed", "9")
@@ -276,6 +289,18 @@ class TestRelations:
         assert stdout == ""
         assert "data row 5 (line 6) has 2 cells, the header has 3" in err
 
+    def test_non_numeric_cell_is_an_error(self, tmp_path, capsys):
+        rows = [f"{i}.0,{i+1}.0,{i%7}.0" for i in range(70)]
+        rows[2] = "2.0,x,2.0"
+        data = tmp_path / "table.csv"
+        data.write_text("u,v,w\n" + "\n".join(rows) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label\nu,v,,NOTCI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "data row 3 (line 4), column 'v': 'x' is not a number" in err
+
 
 class TestVerify:
     def test_passes_on_correct_build(self, capsys):
@@ -380,6 +405,9 @@ class TestUsage:
             {"mimic_config": {"tree_depth": 3}},
             {"mimic_config": {"mlp": {"seed": 0}}},
             {"mimic_config": {"mlp": {"loss": "squared"}}},
+            {"mimic_config": {}},
+            {"mimic_config": {"tree_rounds": 200}},
+            {"mimic_config": {"mlp": {"widths": [32], "epochs": 100, "batch": 64, "lr": 0.01}}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):
@@ -411,10 +439,9 @@ class TestUsage:
     def test_nested_config_objects_are_built(self):
         from ciforge.classify import GbtConfig
         from ciforge.cli import _tester_from, build_parser
-        from ciforge.nn import MlpConfig
 
         args = build_parser().parse_args(["test", "--data", "unused.csv"])
-        file_cfg = {"tester": {"gbt": {"rounds": 7}, "mimic_config": {"mlp": {"widths": [4], "epochs": 2}}}}
+        file_cfg = {"tester": {"gbt": {"rounds": 7, "l2": 0.5}, "alpha": 0.1}}
         cfg = _tester_from(args, file_cfg)
-        assert cfg.gbt == GbtConfig(rounds=7)
-        assert cfg.mimic_config.mlp == MlpConfig(widths=(4,), epochs=2)
+        assert cfg.gbt == GbtConfig(rounds=7, l2=0.5)
+        assert cfg.alpha == 0.1

@@ -16,11 +16,19 @@ def load_script(name):
 
 def test_null_calibration(capsys):
     script = load_script("run_null_calibration")
-    assert script.main(["--n-discrete", "1", "--n-pnl", "0", "--parallel", "1"]) == 0
+    assert script.main(["--n-h0", "1", "--n-h1", "1", "--parallel", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["n_datasets"] == 1
-    assert report["rows"][0]["kind"] == "discrete"
-    assert report["rejection_rate"] == report["n_reject"] / 1
+    assert set(report["sets"]) == {"pnl_d5", "pnl_d20", "discrete"}
+    assert [(r["set"], r["truth"]) for r in report["rows"]] == [
+        (name, truth) for name in ("pnl_d5", "pnl_d20", "discrete") for truth in ("CI", "NOTCI")
+    ]
+    for name, s in report["sets"].items():
+        h0 = [r for r in report["rows"] if r["set"] == name and r["truth"] == "CI"]
+        assert s["n_h0"] == s["n_h1"] == 1
+        assert s["mean_h0_e1"] == h0[0]["e1"]
+    assert report["n_h0"] == 3
+    assert report["h0_reject_rate"] == report["h0_reject"] / 3
+    assert report["h0_rate_bound"] == 0.05 + 2 * (0.05 * 0.95 / 3) ** 0.5
 
 
 def test_power_benchmark(capsys):
@@ -35,7 +43,17 @@ def test_bench_split_kernel(capsys):
     script = load_script("bench_split_kernel")
     assert script.main(["--repeats", "1", "--scale", "0.02", "--rounds", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report["workloads"]) == {"regressor", "classifier_continuous", "classifier_one_hot"}
-    reg = report["workloads"]["regressor"]
-    assert reg["shape"] == [20, 20] and reg["trees"] == 2 and len(reg["runs_s"]) == 1
+    assert set(report["workloads"]) == {"classifier_continuous", "classifier_one_hot"}
+    cont = report["workloads"]["classifier_continuous"]
+    assert cont["shape"] == [20, 22] and cont["trees"] == 2 and len(cont["runs_s"]) == 1
     assert report["workloads"]["classifier_one_hot"]["shape"] == [40, 9]
+
+
+def test_bench_split_kernel_digests_match_the_record():
+    """The classifier fits are the ones BENCH_split_kernel.json recorded,
+    tree for tree."""
+    script = load_script("bench_split_kernel")
+    record = json.loads((SCRIPTS.parent / "BENCH_split_kernel.json").read_text())["change"]["workloads"]
+    for name, (fit, shape) in script.workloads(1.0, 200).items():
+        assert list(shape) == record[name]["shape"]
+        assert script.digest(fit()) == record[name]["sha256"], name

@@ -115,10 +115,10 @@ class TestCiTest:
             ci_test(drop_x(ds), TestConfig(seed=0))
 
     def test_dependent_categorical_data_decides_h1(self):
-        """A categorical y gets the table mimic, so mimicked rows share y's
-        codes and only x can tell them apart.  (A regression mimic writes
-        codes plus noise; y alone then separates the rows and the gap is 0.)
-        This joint's exact population gap is about 0.16."""
+        """The mimic copies fit-fold y codes, so mimicked rows share y's codes
+        and only x can tell them apart.  (A mimic that wrote codes plus noise
+        would let y alone separate the rows, and the gap would be 0.)  This
+        joint's exact population gap is about 0.16."""
         ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=False, seed=1), 6000, seed=2)
         rep = ci_test(ds, TestConfig(seed=3))
         assert rep.gap > 0.0
@@ -137,7 +137,7 @@ class TestCiTest:
         assert rep.e1 == rep2.e1
 
     def test_config_validation(self):
-        for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim"):
+        for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim", "mimic_config"):
             with pytest.raises(TypeError):
                 TestConfig(**{removed: None})
         with pytest.raises(ValueError):
@@ -167,11 +167,6 @@ class TestCiTest:
                 "alpha",
                 "tau",
                 "seed",
-                "mimic_config.tree_rounds",
-                "mimic_config.mlp.widths",
-                "mimic_config.mlp.epochs",
-                "mimic_config.mlp.batch",
-                "mimic_config.mlp.lr",
                 "gbt.rounds",
                 "gbt.max_depth",
                 "gbt.learning_rate",
