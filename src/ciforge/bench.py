@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Dataset, Relation
+from .core import DEFAULT_SEED, Dataset, Relation, require_number
 from .datagen import PostNonlinearConfig, gen_postnonlinear
 from .errors import SingleClass, UnknownColumn
 from .testkit import TestConfig, child_seed, ci_test
@@ -75,6 +75,10 @@ class BenchmarkConfig:
     parallel: int = 1
 
     def __post_init__(self):
+        for name in ("n_h0", "n_h1", "n", "d_z"):
+            require_number(name, getattr(self, name), integer=True)
+        for name in ("a_xy", "noise_var"):
+            require_number(name, getattr(self, name))
         if self.n_h0 < 0 or self.n_h1 < 0 or self.n_h0 + self.n_h1 < 2:
             raise ValueError("need at least 2 datasets")
 

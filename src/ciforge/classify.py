@@ -27,6 +27,11 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   until it does not (deterministic backoff), so the per-round training-loss
   sequence is non-increasing by construction.
 
+The depth ``MAX_DEPTH``, shrinkage ``LEARNING_RATE``, leaf penalty ``L2``
+and child hessian floor ``MIN_CHILD_WEIGHT`` are constants, not config
+fields, since every caller uses one value of each; the builder reads them
+when it runs, so a test can patch them.  ``GbtConfig`` holds the round cap.
+
 A Dataset-level wrapper scores the ensemble.  It addresses columns by
 position: a dataset is encoded only if its columns equal, in order, the
 ones the model was trained on, so a model trained without x columns accepts
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Column, Dataset, LabeledDataset
+from .core import Column, Dataset, LabeledDataset, require_number
 from .errors import EmptyTest, SchemaMismatch, SingleClass
 from .nn import _loss_value, _sigmoid
 
@@ -47,6 +52,10 @@ ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
 #: Rounds boosted past the best validation loss before the loop stops.
 PATIENCE = 50
+MAX_DEPTH = 4
+LEARNING_RATE = 0.1
+L2 = 1.0
+MIN_CHILD_WEIGHT = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +104,10 @@ class GbtConfig:
     once ``PATIENCE`` rounds pass without a better validation loss."""
 
     rounds: int = 200
-    max_depth: int = 4
-    learning_rate: float = 0.1
-    l2: float = 1.0
-    min_child_weight: float = 1.0
 
     def __post_init__(self):
-        if self.rounds < 1:
+        if require_number("rounds", self.rounds, integer=True) < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.l2 >= 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if not self.min_child_weight >= 0.0:
-            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
 
 
 @dataclass
@@ -155,8 +152,7 @@ class Tree:
 class _TreeBuilder:
     """Exact greedy split search over node-partitioned presorted indices."""
 
-    def __init__(self, f: np.ndarray, cfg: GbtConfig):
-        self.cfg = cfg
+    def __init__(self, f: np.ndarray):
         self.f_t = np.ascontiguousarray(f.T)
         # Row order per feature, sorted once and shared across all rounds.
         self.order = np.argsort(self.f_t, axis=1, kind="stable")
@@ -169,7 +165,6 @@ class _TreeBuilder:
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
-        cfg = self.cfg
         d = self.f_t.shape[0]
         feature, threshold, left, right, value = [], [], [], [], []
         row_values = np.empty(self.f_t.shape[1])
@@ -186,9 +181,9 @@ class _TreeBuilder:
             # rows stay ascending, so a node sum adds its operands in row order.
             g_sum = float(g[rows].sum())
             h_sum = float(h[rows].sum())
-            split = None if depth >= cfg.max_depth else self._best_split(order, g, h, g_sum, h_sum)
+            split = None if depth >= MAX_DEPTH else self._best_split(order, g, h, g_sum, h_sum)
             if split is None:
-                v = -g_sum / (h_sum + cfg.l2) * cfg.learning_rate
+                v = -g_sum / (h_sum + L2) * LEARNING_RATE
                 row_values[rows] = v
                 return add_node(-1, 0.0, v)
             j, thr = split
@@ -238,7 +233,6 @@ class _TreeBuilder:
 
     def _best_split(self, order, g, h, g_sum, h_sum):
         """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
-        cfg = self.cfg
         if order.shape[1] < 2:
             return None
         ok = self._boundaries(order)
@@ -251,10 +245,10 @@ class _TreeBuilder:
         np.cumsum(hl, axis=1, out=hl)
         gr = g_sum - gl
         hr = h_sum - hl
-        ok &= hl >= cfg.min_child_weight
-        ok &= hr >= cfg.min_child_weight
-        hl += cfg.l2
-        hr += cfg.l2
+        ok &= hl >= MIN_CHILD_WEIGHT
+        ok &= hr >= MIN_CHILD_WEIGHT
+        hl += L2
+        hr += L2
         with np.errstate(divide="ignore", invalid="ignore"):  # masked cells may divide by 0
             gl *= gl
             gl /= hl
@@ -262,7 +256,7 @@ class _TreeBuilder:
             gr /= hr
         gain = gl
         gain += gr
-        gain -= g_sum * g_sum / (h_sum + cfg.l2)
+        gain -= g_sum * g_sum / (h_sum + L2)
         np.copyto(gain, -np.inf, where=~ok)
         cut = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
         row_best = gain[np.arange(gain.shape[0]), cut]
@@ -324,7 +318,7 @@ def fit_boosted_trees(
     canon = np.lexsort((y,) + tuple(f_train[:, j] for j in range(f_train.shape[1] - 1, -1, -1)))
     f_train = f_train[canon]
     y = y[canon]
-    builder = _TreeBuilder(f_train, config)
+    builder = _TreeBuilder(f_train)
     margin = np.zeros(f_train.shape[0])
     margin_val = np.zeros(f_val.shape[0])
     train_loss = [_logloss(margin, y)]

@@ -27,6 +27,7 @@ from .core import (
     read_dataset,
     read_relations,
     read_table,
+    require_number,
     write_dataset,
 )
 from .datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
@@ -41,10 +42,10 @@ def _resolve_seed(args, file_cfg: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+        return require_number("seed", file_cfg["seed"], integer=True)
     tester = file_cfg.get("tester")
     if isinstance(tester, dict) and "seed" in tester:
-        return int(tester["seed"])
+        return require_number("tester.seed", tester["seed"], integer=True)
     env = os.environ.get(SEED_ENV)
     if env is not None:
         return int(env)
@@ -88,10 +89,7 @@ def _tester_from(args, file_cfg: dict) -> TestConfig:
     kwargs = _config_kwargs(TestConfig, file_cfg.get("tester", {}), "tester")
     if "gbt" in kwargs:
         kwargs["gbt"] = GbtConfig(**_config_kwargs(GbtConfig, kwargs["gbt"], "tester.gbt"))
-    if getattr(args, "tau", None) is not None:
-        kwargs["tau"] = args.tau
-        kwargs.setdefault("alpha", None)
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         kwargs["alpha"] = args.alpha
     kwargs["seed"] = _resolve_seed(args, file_cfg)
     return TestConfig(**kwargs)
@@ -113,8 +111,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tester_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, help="significance level (sets the threshold)")
-    p.add_argument("--tau", type=float, help="raw decision threshold (overrides alpha)")
+    p.add_argument("--alpha", type=float, help="significance level; H1 when gap > sqrt(2 ln(2/alpha) / n_s)")
 
 
 def _cmd_gen(args) -> int:
@@ -174,16 +171,15 @@ def _cmd_test(args) -> int:
 def _cmd_bench(args) -> int:
     file_cfg = _load_config(args)
     tester = _tester_from(args, file_cfg)
-    seed = _resolve_seed(args, file_cfg)
     cfg = BenchmarkConfig(
-        n_h0=args.n_h0 if args.n_h0 is not None else int(file_cfg.get("n_h0", 10)),
-        n_h1=args.n_h1 if args.n_h1 is not None else int(file_cfg.get("n_h1", 10)),
-        n=args.n if args.n is not None else int(file_cfg.get("n", 1000)),
-        d_z=args.d_z if args.d_z is not None else int(file_cfg.get("d_z", 5)),
-        a_xy=float(file_cfg.get("a_xy", 2.0)),
-        noise_var=float(file_cfg.get("noise_var", 0.25)),
+        n_h0=args.n_h0 if args.n_h0 is not None else file_cfg.get("n_h0", 10),
+        n_h1=args.n_h1 if args.n_h1 is not None else file_cfg.get("n_h1", 10),
+        n=args.n if args.n is not None else file_cfg.get("n", 1000),
+        d_z=args.d_z if args.d_z is not None else file_cfg.get("d_z", 5),
+        a_xy=file_cfg.get("a_xy", 2.0),
+        noise_var=file_cfg.get("noise_var", 0.25),
         tester=tester,
-        seed=seed,
+        seed=tester.seed,
         parallel=args.parallel,
     )
     report = run_benchmark(cfg)
@@ -200,10 +196,9 @@ def _cmd_bench(args) -> int:
 def _cmd_relations(args) -> int:
     file_cfg = _load_config(args)
     tester = _tester_from(args, file_cfg)
-    seed = _resolve_seed(args, file_cfg)
     names, matrix, cols = read_table(args.data, _sidecar_for(args.data, args.sidecar))
     rels = read_relations(args.relations)
-    report = run_relations(names, matrix, cols, rels, tester, seed=seed)
+    report = run_relations(names, matrix, cols, rels, tester, seed=tester.seed)
     if args.scores_csv:
         write_scores_csv(report, args.scores_csv)
     _emit(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +27,13 @@ MASK64 = (1 << 64) - 1
 
 #: Seed used by the CLI when neither --seed nor CIFORGE_SEED is given.
 DEFAULT_SEED = 20180618
+
+
+def require_number(name: str, value, integer: bool = False):
+    """Return ``value`` if it is a number (an integer when ``integer``) but not a bool; never coerce."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def derive_rng(seed: int, label: str) -> np.random.Generator:

@@ -18,6 +18,8 @@ of per-row loss differences, and the report's gap is exactly |e1 - e2|.
 The p-value is the subgaussian tail 2 exp(-n gap^2 / 2) of that paired
 statistic under a zero-mean null; it is conservative for trained (rather
 than error-optimal) classifiers, whose null mean need not be exactly zero.
+H1 is decided when the gap exceeds tau = sqrt(2 ln(2 / alpha) / n), where
+that tail bound equals alpha; tau is derived from alpha, never set.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core import (
     LabeledDataset,
     concat,
     derive_rng,
+    require_number,
     split_three_way,
     strip_x,
 )
@@ -70,18 +73,14 @@ class TestConfig:
 
     __test__ = False  # keep pytest from collecting the Test* name
 
-    alpha: float | None = 0.05
-    tau: float | None = None
+    alpha: float = 0.05
     seed: int = DEFAULT_SEED
     gbt: GbtConfig = field(default_factory=GbtConfig)
 
     def __post_init__(self):
-        if self.alpha is None and self.tau is None:
-            raise ValueError("one of alpha or tau must be given")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < require_number("alpha", self.alpha) <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.tau is not None and not self.tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        require_number("seed", self.seed, integer=True)
 
 
 @dataclass(frozen=True)
@@ -169,16 +168,14 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     gap = abs(err1.error_rate - err2.error_rate)
 
     n_s = err1.n_test
-    tau = config.tau if config.tau is not None else math.sqrt(2.0 * math.log(2.0 / config.alpha) / n_s)
-    p_value = gap_pvalue(gap, n_s)
-    cfg_echo = asdict(config)
+    tau = math.sqrt(2.0 * math.log(2.0 / config.alpha) / n_s)
     return TestReport(
         e1=err1.error_rate,
         e2=err2.error_rate,
         gap=gap,
         n_s=n_s,
-        p_value=p_value,
-        tau=float(tau),
+        p_value=gap_pvalue(gap, n_s),
+        tau=tau,
         decision="H1" if gap > tau else "H0",
         seed=seed,
         split_sizes={
@@ -189,5 +186,5 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
             "val": part_v.n_rows,
             "test": part_s.n_rows,
         },
-        config=cfg_echo,
+        config=asdict(config),
     )

@@ -101,9 +101,10 @@ class TestBoostedTrees:
         shifted[:, 2] += 123.0
         assert np.array_equal(b.predict_score(f[350:]), b.predict_score(shifted))
 
-    def test_max_depth_respected(self):
+    def test_max_depth_respected(self, monkeypatch):
         f, y = blob_problem(n=500, seed=9)
-        b = fit_boosted_trees(f[:400], y[:400], f[400:], y[400:], GbtConfig(rounds=10, max_depth=2))
+        monkeypatch.setattr(classify, "MAX_DEPTH", 2)
+        b = fit_boosted_trees(f[:400], y[:400], f[400:], y[400:], GbtConfig(rounds=10))
         assert all(t.depth <= 2 for t in b.trees)
 
     def test_early_stop_is_a_prefix_of_the_full_fit(self, monkeypatch):
@@ -247,13 +248,19 @@ class TestFeatureEncoder:
 # ---------------------------------------------------------------------------
 
 
-def reference_build(f, g, h, cfg):
-    """One tree by rescanning every feature's presorted order at each node."""
+def reference_build(f, g, h, consts):
+    """One tree by rescanning every feature's presorted order at each node.
+
+    ``consts`` maps each booster constant's name in ``classify`` to the value
+    the tree is grown with.
+    """
+    max_depth, learning_rate = consts["MAX_DEPTH"], consts["LEARNING_RATE"]
+    l2, min_child_weight = consts["L2"], consts["MIN_CHILD_WEIGHT"]
     order = [np.argsort(f[:, j], kind="stable") for j in range(f.shape[1])]
     feature, threshold, left, right, value = [], [], [], [], []
 
     def best_split(mask, g_sum, h_sum):
-        parent = g_sum * g_sum / (h_sum + cfg.l2)
+        parent = g_sum * g_sum / (h_sum + l2)
         best_gain, best = 1e-12, None
         for j in range(f.shape[1]):
             idx = order[j][mask[order[j]]]
@@ -266,10 +273,10 @@ def reference_build(f, g, h, cfg):
                 continue
             gl, hl = cg[cut], ch[cut]
             gr, hr = g_sum - gl, h_sum - hl
-            ok = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+            ok = (hl >= min_child_weight) & (hr >= min_child_weight)
             if not ok.any():
                 continue
-            gain = np.where(ok, gl * gl / (hl + cfg.l2) + gr * gr / (hr + cfg.l2) - parent, -np.inf)
+            gain = np.where(ok, gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent, -np.inf)
             k = int(np.argmax(gain))
             if gain[k] > best_gain:
                 lo, hi = v[cut[k]], v[cut[k] + 1]
@@ -281,14 +288,14 @@ def reference_build(f, g, h, cfg):
 
     def grow(mask, depth):
         g_sum, h_sum = float(g[mask].sum()), float(h[mask].sum())
-        split = None if depth >= cfg.max_depth else best_split(mask, g_sum, h_sum)
+        split = None if depth >= max_depth else best_split(mask, g_sum, h_sum)
         node = len(feature)
         left.append(-1)
         right.append(-1)
         if split is None:
             feature.append(-1)
             threshold.append(0.0)
-            value.append(-g_sum / (h_sum + cfg.l2) * cfg.learning_rate)
+            value.append(-g_sum / (h_sum + l2) * learning_rate)
             return node
         j, thr = split
         feature.append(j)
@@ -363,13 +370,23 @@ def split_problems(draw, gradients=_GRADIENTS):
         g, h = rng.standard_normal(n), np.ones(n)
     else:
         g, h = rng.integers(-2, 3, n).astype(np.float64), np.ones(n)
-    cfg = GbtConfig(
-        max_depth=draw(st.sampled_from((1, 3, 4))),
-        learning_rate=draw(st.sampled_from((0.1, 0.3, 1.0))),
-        l2=draw(st.sampled_from((0.0, 1.0))),
-        min_child_weight=draw(st.sampled_from((0.0, 1.0, 3.0, 10.0))),
-    )
-    return f, g, h, cfg
+    consts = {
+        "MAX_DEPTH": draw(st.sampled_from((1, 3, 4))),
+        "LEARNING_RATE": draw(st.sampled_from((0.1, 0.3, 1.0))),
+        "L2": draw(st.sampled_from((0.0, 1.0))),
+        "MIN_CHILD_WEIGHT": draw(st.sampled_from((0.0, 1.0, 3.0, 10.0))),
+    }
+    return f, g, h, consts
+
+
+DEFAULT_CONSTS = {
+    name: getattr(classify, name) for name in ("MAX_DEPTH", "LEARNING_RATE", "L2", "MIN_CHILD_WEIGHT")
+}
+
+
+def patch_consts(mp, consts):
+    for name, value in consts.items():
+        mp.setattr(classify, name, value)
 
 
 def assert_same_tree(a, b):
@@ -382,16 +399,20 @@ class TestTreeBuilder:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
     def test_matches_per_feature_scan(self, problem):
-        f, g, h, cfg = problem
-        tree, row_values = _TreeBuilder(f, cfg).build(g, h)
-        assert_same_tree(tree, reference_build(f, g, h, cfg))
+        f, g, h, consts = problem
+        with pytest.MonkeyPatch.context() as mp:
+            patch_consts(mp, consts)
+            tree, row_values = _TreeBuilder(f).build(g, h)
+        assert_same_tree(tree, reference_build(f, g, h, consts))
         assert np.array_equal(row_values, reference_predict(tree, f))
 
     @settings(max_examples=200, deadline=None)
     @given(split_problems(), st.integers(0, 2**32 - 1))
     def test_predict_matches_stack_walk(self, problem, seed):
-        f, g, h, cfg = problem
-        tree, _ = _TreeBuilder(f, cfg).build(g, h)
+        f, g, h, consts = problem
+        with pytest.MonkeyPatch.context() as mp:
+            patch_consts(mp, consts)
+            tree, _ = _TreeBuilder(f).build(g, h)
         rng = np.random.default_rng(seed)
         unseen = rng.standard_normal((50, f.shape[1]))
         unseen[rng.random(unseen.shape) < 0.1] = np.nan
@@ -402,13 +423,12 @@ class TestTreeBuilder:
         """The presorted order is shared state: later builds must not see
         anything an earlier build left behind."""
         f, y = blob_problem(n=300, seed=23, d=4)
-        cfg = GbtConfig(max_depth=4)
-        builder = _TreeBuilder(f, cfg)
+        builder = _TreeBuilder(f)
         rng = derive_rng(24, "rounds")
         for _ in range(5):
             g, h = rng.standard_normal(300), rng.random(300)
             tree, _ = builder.build(g, h)
-            assert_same_tree(tree, reference_build(f, g, h, cfg))
+            assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
 
     # A feature with no repeated value skips the boundary gather; the trees
     # must be exactly those of the general path.
@@ -421,19 +441,20 @@ class TestTreeBuilder:
         ],
         ids=["no_feature_tied", "every_feature_tied", "mixed"],
     )
-    def test_boundary_mask_cases(self, kinds, tied):
+    def test_boundary_mask_cases(self, kinds, tied, monkeypatch):
         rng = derive_rng(31, "fast-paths")
         n = 240
         f = np.column_stack([make_column(k, n, rng) for k in kinds])
         y = (f[:, 0] + rng.standard_normal(n) > 0.5).astype(np.float64)
-        cfg = GbtConfig(max_depth=4, min_child_weight=3.0)
-        builder = _TreeBuilder(f, cfg)
+        consts = {**DEFAULT_CONSTS, "MIN_CHILD_WEIGHT": 3.0}
+        patch_consts(monkeypatch, consts)
+        builder = _TreeBuilder(f)
         assert builder.tied.tolist() == tied
         for _ in range(3):  # a reused builder must not carry state between builds
             p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
             for g, h in ((p - y, p * (1.0 - p)), (rng.standard_normal(n), np.ones(n))):
                 tree, row_values = builder.build(g, h)
-                ref = reference_build(f, g, h, cfg)
+                ref = reference_build(f, g, h, consts)
                 assert_same_tree(tree, ref)
                 assert np.array_equal(row_values, reference_predict(tree, f))
                 assert tree.depth > 1
@@ -485,20 +506,27 @@ class TestGoldenReports:
     e2 0.52 -> 0.45, gap 0.01 -> 0.06 (H0 both).  Categorical y,
     continuous z: e1 0.45 -> 0.50, e2 0.41 -> 0.50, gap 0.04 -> 0.0 (H0
     both).  The gap is now |e1 - e2| of the reported rates, bit for bit.
+
+    Re-pinned when ``tau`` and the booster's depth, learning rate, L2 and
+    min child weight stopped being config fields: each of the three digests
+    is the sha256 of the previous report with ``config.tau``,
+    ``config.gbt.max_depth``, ``config.gbt.learning_rate``,
+    ``config.gbt.l2`` and ``config.gbt.min_child_weight`` deleted and
+    re-dumped with ``sort_keys=True``; no other byte moved.
     """
 
     def test_pnl_report_digest(self):
         ds = gen_postnonlinear(PostNonlinearConfig(d_z=3, n=600, ci=False, a_xy=2.0, seed=11))
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "890a7595fb9dd5b1533bc94732dfcd3374de45dffa486712a0a5f56326ef975e"
+            "5ed11e2d6fc5c3a56bc46d29a6b6eda28e4912544048229d64a7c09adbab88b1"
         )
 
     def test_discrete_report_digest(self):
         ds = sample_discrete(gen_discrete_joint((3, 3, 3), ci=True, seed=12), 600, seed=13)
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6cde50423b22f37a77be66709f4fcb462b6e2e7c9a13750fcb9fbbcab8d73e03"
+            "399da58dbb3df08094095b4412aeb6d6ad8a8585fd563ba57364861351637839"
         )
 
     def test_categorical_y_continuous_z_report_digest(self):
@@ -515,5 +543,5 @@ class TestGoldenReports:
         )
         text = ci_test(ds, TestConfig(seed=5)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6031626cc9b454d31c48963590d80300b3549b39368256bb02f5e82d1e3d3ffe"
+            "7b492aa56c9dcb4a45b2b70455fbdf1be8112416dfb633af4595c67ce8c23774"
         )

@@ -75,15 +75,15 @@ class TestTest:
         assert json.loads(out)["seed"] == 123
 
     def test_tau_flag(self, h0_csv, capsys):
-        _, out, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--tau", "0.9", "--seed", "3")
-        rep = json.loads(out)
-        assert rep["tau"] == 0.9
-        assert rep["decision"] == "H0"
+        """tau is derived from alpha; there is no flag to set it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--data", str(h0_csv), "--tau", "0.9"])
+        assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [("--alpha", "2"), ("--tau", "-0.1")])
+    @pytest.mark.parametrize("flags", [("--alpha", "2"), ("--alpha", "0")])
     def test_out_of_range_threshold_exits_two(self, flags, h0_csv, capsys):
-        """alpha = 2 would give tau = 0 and a negative tau would decide H1
-        on any gap; both are refused before a report exists."""
+        """alpha = 2 would give tau = 0, which decides H1 on any gap, and
+        alpha = 0 has no threshold; both are refused before a report exists."""
         code, stdout, stderr = run_cli(capsys, "test", "--data", str(h0_csv), *flags)
         assert code == 2
         assert stdout == ""
@@ -369,6 +369,12 @@ class TestUsage:
             {"tester": {"mimic_config": {"mlp": {"loss": "logistic"}}}},
             {"gbt": {"max_depth": -2}, "mimic_config": {"tree_rounds": -5}},
             {"tester": {}, "n_h0": 4},
+            {"seed": 7.5},
+            {"seed": True},
+            {"seed": "7"},
+            {"tester": {"seed": 7.5}},
+            {"tester": {"alpha": True}},
+            {"tester": {"gbt": {"rounds": True}}},
         ],
     )
     def test_malformed_config_exits_two(self, config, h0_csv, tmp_path, capsys):
@@ -408,6 +414,11 @@ class TestUsage:
             {"mimic_config": {}},
             {"mimic_config": {"tree_rounds": 200}},
             {"mimic_config": {"mlp": {"widths": [32], "epochs": 100, "batch": 64, "lr": 0.01}}},
+            {"tau": 0.1},
+            {"gbt": {"max_depth": 4}},
+            {"gbt": {"learning_rate": 0.1}},
+            {"gbt": {"l2": 1.0}},
+            {"gbt": {"min_child_weight": 1.0}},
         ],
     )
     def test_removed_config_field_is_an_unknown_key(self, tester, tmp_path, capsys):
@@ -436,12 +447,36 @@ class TestUsage:
         assert stdout == ""
         assert "unknown top-level key" in stderr
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["gen", "--n", "20", "--data-out", "{tmp}/d.csv"], {"seed": True}),
+            (["verify", "--joints", "1", "--ci-joints", "1", "--pairs", "1"], {"seed": 1.5}),
+            (["bench"], {"n_h0": 2.7, "n_h1": 1, "n": 150}),
+            (["bench"], {"n_h0": 1, "n_h1": 1, "n": "150"}),
+            (["bench", "--n-h0", "1", "--n-h1", "1", "--n", "150"], {"d_z": True}),
+            (["bench", "--n-h0", "1", "--n-h1", "1", "--n", "150"], {"a_xy": "2"}),
+            (["bench", "--n-h0", "1", "--n-h1", "1", "--n", "150"], {"noise_var": True}),
+        ],
+    )
+    def test_config_value_is_taken_as_given(self, argv, config, tmp_path, capsys):
+        """A --config value is never coerced: a float, bool or string where
+        an integer or a number belongs exits 2 before any work is done."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, stdout, stderr = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr
+        assert not (tmp_path / "d.csv").exists()
+
     def test_nested_config_objects_are_built(self):
         from ciforge.classify import GbtConfig
         from ciforge.cli import _tester_from, build_parser
 
         args = build_parser().parse_args(["test", "--data", "unused.csv"])
-        file_cfg = {"tester": {"gbt": {"rounds": 7, "l2": 0.5}, "alpha": 0.1}}
+        file_cfg = {"tester": {"gbt": {"rounds": 7}, "alpha": 0.1}}
         cfg = _tester_from(args, file_cfg)
-        assert cfg.gbt == GbtConfig(rounds=7, l2=0.5)
+        assert cfg.gbt == GbtConfig(rounds=7)
         assert cfg.alpha == 0.1

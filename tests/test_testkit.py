@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciforge.classify import GbtConfig
 from ciforge.core import derive_rng
 from ciforge.datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
 from ciforge.errors import SchemaMismatch, TooFewRows
@@ -97,11 +98,6 @@ class TestCiTest:
         rep = ci_test(ds, TestConfig(seed=1, alpha=0.05))
         assert rep.tau == pytest.approx(math.sqrt(2.0 * math.log(2.0 / 0.05) / rep.n_s))
 
-    def test_explicit_tau_wins(self):
-        ds = small_h0_dataset(seed=2)
-        rep = ci_test(ds, TestConfig(seed=1, alpha=None, tau=0.42))
-        assert rep.tau == 0.42
-
     def test_too_few_rows(self):
         ds = small_h0_dataset(n=50)
         with pytest.raises(TooFewRows):
@@ -137,19 +133,23 @@ class TestCiTest:
         assert rep.e1 == rep2.e1
 
     def test_config_validation(self):
-        for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim", "mimic_config"):
+        for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim", "mimic_config", "tau"):
             with pytest.raises(TypeError):
                 TestConfig(**{removed: None})
-        with pytest.raises(ValueError):
-            TestConfig(alpha=None, tau=None)
-        for alpha in (0.0, 2.0, -0.5, float("nan")):
+        for alpha in (0.0, 2.0, -0.5, float("nan"), None, True, "0.05"):
             with pytest.raises(ValueError):
                 TestConfig(alpha=alpha)
-        for tau in (-0.1, float("nan")):
+        for seed in (7.5, 7.0, True, "7", None):
             with pytest.raises(ValueError):
-                TestConfig(alpha=None, tau=tau)
+                TestConfig(seed=seed)
+        for rounds in (0, 2.5, True, "5"):
+            with pytest.raises(ValueError):
+                GbtConfig(rounds=rounds)
+        for removed in ("max_depth", "learning_rate", "l2", "min_child_weight"):
+            with pytest.raises(TypeError):
+                GbtConfig(**{removed: 1})
         assert TestConfig(alpha=1.0).alpha == 1.0
-        assert TestConfig(alpha=None, tau=0.0).tau == 0.0
+        assert TestConfig(seed=np.int64(3)).seed == 3
 
     def test_settable_config_values_are_pinned(self):
         """Every leaf a ``--config`` file can set; a new knob must show up here."""
@@ -162,18 +162,7 @@ class TestCiTest:
                 else:
                     yield prefix + f.name
 
-        assert sorted(leaves(TestConfig())) == sorted(
-            [
-                "alpha",
-                "tau",
-                "seed",
-                "gbt.rounds",
-                "gbt.max_depth",
-                "gbt.learning_rate",
-                "gbt.l2",
-                "gbt.min_child_weight",
-            ]
-        )
+        assert sorted(leaves(TestConfig())) == ["alpha", "gbt.rounds", "seed"]
 
     def test_json_round_trip(self):
         import json
