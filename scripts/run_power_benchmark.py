@@ -37,8 +37,7 @@ def main(argv=None) -> int:
             n=args.n,
             d_z=d_z,
             a_xy=args.a_xy,
-            tester=TestConfig(),
-            seed=args.seed,
+            tester=TestConfig(seed=args.seed),
             parallel=args.parallel,
         )
         rep = run_benchmark(cfg)

@@ -34,7 +34,6 @@ from .datagen import (
     sample_discrete,
 )
 from .mimic import MimicModel, fit_reg_mimic, mimic_apply
-from .nn import MlpConfig, mlp_grad_check, mlp_train
 from .oracle import (
     DiscreteDist,
     GapReport,
@@ -64,7 +63,6 @@ __all__ = [
     "GbtConfig",
     "LabeledDataset",
     "MimicModel",
-    "MlpConfig",
     "PostNonlinearConfig",
     "Relation",
     "TestConfig",
@@ -83,8 +81,6 @@ __all__ = [
     "gen_postnonlinear",
     "is_ci",
     "mimic_apply",
-    "mlp_grad_check",
-    "mlp_train",
     "read_dataset",
     "read_relations",
     "read_table",

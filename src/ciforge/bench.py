@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Dataset, Relation, require_number
+from .core import Dataset, Relation, require_number
 from .datagen import PostNonlinearConfig, gen_postnonlinear
 from .errors import SingleClass, UnknownColumn
 from .testkit import TestConfig, child_seed, ci_test
@@ -62,7 +62,8 @@ def roc_auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """A post-nonlinear sweep: n_h0 independent + n_h1 dependent datasets."""
+    """A post-nonlinear sweep: n_h0 independent + n_h1 dependent datasets,
+    each generated and tested with child seeds of ``tester.seed``."""
 
     n_h0: int
     n_h1: int
@@ -71,16 +72,17 @@ class BenchmarkConfig:
     a_xy: float = 2.0
     noise_var: float = 0.25
     tester: TestConfig = field(default_factory=TestConfig)
-    seed: int = DEFAULT_SEED
     parallel: int = 1
 
     def __post_init__(self):
-        for name in ("n_h0", "n_h1", "n", "d_z"):
+        for name in ("n_h0", "n_h1", "n", "d_z", "parallel"):
             require_number(name, getattr(self, name), integer=True)
         for name in ("a_xy", "noise_var"):
             require_number(name, getattr(self, name))
         if self.n_h0 < 0 or self.n_h1 < 0 or self.n_h0 + self.n_h1 < 2:
             raise ValueError("need at least 2 datasets")
+        if self.parallel < 1:
+            raise ValueError(f"parallel must be >= 1, got {self.parallel}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,10 @@ def _bench_row(args) -> dict:
         ci=ci,
         a_xy=cfg.a_xy,
         noise_var=cfg.noise_var,
-        seed=child_seed(cfg.seed, f"bench-data-{i}"),
+        seed=child_seed(cfg.tester.seed, f"bench-data-{i}"),
     )
     ds = gen_postnonlinear(pnl)
-    tester = replace(cfg.tester, seed=child_seed(cfg.seed, f"bench-test-{i}"))
+    tester = replace(cfg.tester, seed=child_seed(cfg.tester.seed, f"bench-test-{i}"))
     t0 = time.perf_counter()
     rep = ci_test(ds, tester)
     return {
@@ -159,14 +161,14 @@ def project_relation(names, matrix: np.ndarray, cols: dict, rel: Relation) -> Da
 
 
 def run_relations(
-    names, matrix: np.ndarray, cols: dict, relations: list[Relation], tester: TestConfig, seed: int = DEFAULT_SEED
+    names, matrix: np.ndarray, cols: dict, relations: list[Relation], tester: TestConfig
 ) -> BenchmarkReport:
-    """Run the test on every relation row and score against its labels."""
+    """Run the test on every relation row, seeded from ``tester.seed``, and score against its labels."""
     rows = []
     for i, rel in enumerate(relations):
         ds = project_relation(names, matrix, cols, rel)
         t0 = time.perf_counter()
-        rep = ci_test(ds, replace(tester, seed=child_seed(seed, f"relation-{i}")))
+        rep = ci_test(ds, replace(tester, seed=child_seed(tester.seed, f"relation-{i}")))
         rows.append(
             {
                 "dataset_id": i,
@@ -178,7 +180,7 @@ def run_relations(
                 "wall_clock_s": time.perf_counter() - t0,
             }
         )
-    cfg_echo = {"tester": asdict(tester), "seed": seed, "n_relations": len(relations)}
+    cfg_echo = {"tester": asdict(tester), "n_relations": len(relations)}
     return BenchmarkReport(rows=tuple(rows), roc_auc=_auc_or_none(rows), config=cfg_echo)
 
 

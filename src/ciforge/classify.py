@@ -31,6 +31,8 @@ The depth ``MAX_DEPTH``, shrinkage ``LEARNING_RATE``, leaf penalty ``L2``
 and child hessian floor ``MIN_CHILD_WEIGHT`` are constants, not config
 fields, since every caller uses one value of each; the builder reads them
 when it runs, so a test can patch them.  ``GbtConfig`` holds the round cap.
+The booster's overflow-free sigmoid ``_sigmoid`` and its mean logistic loss
+on raw margins ``_logloss`` live here too; they are the package's only ones.
 
 A Dataset-level wrapper scores the ensemble.  It addresses columns by
 position: a dataset is encoded only if its columns equal, in order, the
@@ -46,7 +48,6 @@ import numpy as np
 
 from .core import Column, Dataset, LabeledDataset, require_number
 from .errors import EmptyTest, SchemaMismatch, SingleClass
-from .nn import _loss_value, _sigmoid
 
 ONE_HOT_CAP = 32
 _GAIN_EPS = 1e-12
@@ -271,8 +272,20 @@ class _TreeBuilder:
         return j, float(thr)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow on either sign of ``v``."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
-    return _loss_value(margin, y, "logistic")
+    """Mean binary cross-entropy on raw margins: log(1 + exp(-|m|)) + max(m, 0) - m*y per row."""
+    per = np.logaddexp(0.0, -np.abs(margin)) + np.maximum(margin, 0.0) - margin * y
+    return float(np.sum(per) / margin.shape[0])
 
 
 @dataclass

@@ -179,7 +179,6 @@ def _cmd_bench(args) -> int:
         a_xy=file_cfg.get("a_xy", 2.0),
         noise_var=file_cfg.get("noise_var", 0.25),
         tester=tester,
-        seed=tester.seed,
         parallel=args.parallel,
     )
     report = run_benchmark(cfg)
@@ -198,7 +197,7 @@ def _cmd_relations(args) -> int:
     tester = _tester_from(args, file_cfg)
     names, matrix, cols = read_table(args.data, _sidecar_for(args.data, args.sidecar))
     rels = read_relations(args.relations)
-    report = run_relations(names, matrix, cols, rels, tester, seed=tester.seed)
+    report = run_relations(names, matrix, cols, rels, tester)
     if args.scores_csv:
         write_scores_csv(report, args.scores_csv)
     _emit(

@@ -331,6 +331,14 @@ class Relation:
     z: tuple[str, ...]
     label: str  # "CI" | "NOTCI"
 
+    def __post_init__(self):
+        # A column tested against itself would read as independent.
+        names = (self.x, self.y, *self.z)
+        twice = sorted({n for n in names if names.count(n) > 1})
+        if twice:
+            row = f"{self.x},{self.y},{';'.join(self.z)}"
+            raise SchemaMismatch(f"relation {row} names column(s) more than once: {', '.join(twice)}")
+
 
 def read_relations(path) -> list[Relation]:
     """Read the relation CSV: columns X,Y,Z,label with Z a ;-separated list."""

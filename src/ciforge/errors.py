@@ -29,14 +29,6 @@ class InvalidConditional(CiforgeError):
     """A conditional pmf is negative or does not sum to one."""
 
 
-class NonFiniteLoss(CiforgeError):
-    """Training diverged: loss became NaN or infinite."""
-
-
-class EmptyData(CiforgeError):
-    """Training data is empty or below the minimum size."""
-
-
 class SingleClass(CiforgeError):
     """Both classes are required but only one is present."""
 

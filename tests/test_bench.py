@@ -16,7 +16,8 @@ from ciforge.bench import (
     write_scores_csv,
 )
 from ciforge.core import Column, Relation, derive_rng
-from ciforge.errors import SingleClass, UnknownColumn
+from ciforge.classify import GbtConfig
+from ciforge.errors import SchemaMismatch, SingleClass, UnknownColumn
 from ciforge.testkit import TestConfig
 
 
@@ -79,8 +80,7 @@ def tiny_bench_config(**kw):
         n_h1=2,
         n=150,
         d_z=2,
-        tester=TestConfig(seed=0, gbt=__import__("ciforge.classify", fromlist=["GbtConfig"]).GbtConfig(rounds=20)),
-        seed=77,
+        tester=TestConfig(seed=77, gbt=GbtConfig(rounds=20)),
     )
     defaults.update(kw)
     return BenchmarkConfig(**defaults)
@@ -114,6 +114,18 @@ class TestRunBenchmark:
         assert strip(serial.rows) == strip(parallel.rows)
         assert serial.roc_auc == parallel.roc_auc
 
+    def test_tester_seed_is_the_master_seed(self):
+        a = run_benchmark(tiny_bench_config(tester=TestConfig(seed=5, gbt=GbtConfig(rounds=20))))
+        b = run_benchmark(tiny_bench_config(tester=TestConfig(seed=99, gbt=GbtConfig(rounds=20))))
+        assert [r["gap"] for r in a.rows] != [r["gap"] for r in b.rows]
+        assert (a.config["tester"]["seed"], b.config["tester"]["seed"]) == (5, 99)
+        assert "seed" not in a.config
+
+    @pytest.mark.parametrize("parallel", [0, -3, True, 2.0])
+    def test_bad_parallel_rejected(self, parallel):
+        with pytest.raises(ValueError, match="parallel"):
+            tiny_bench_config(parallel=parallel)
+
     def test_scores_csv(self, tmp_path):
         rep = run_benchmark(tiny_bench_config())
         out = tmp_path / "scores.csv"
@@ -146,7 +158,7 @@ class TestRunRelations:
     def test_single_relation_row(self):
         names, matrix, cols = structural_table(1, n=240)
         rels = [Relation(x="u", y="w", z=("v",), label="CI")]
-        rep = run_relations(names, matrix, cols, rels, TestConfig(seed=1), seed=5)
+        rep = run_relations(names, matrix, cols, rels, TestConfig(seed=5))
         assert len(rep.rows) == 1
         assert rep.rows[0]["truth"] == "CI"
         assert rep.roc_auc is None  # single class
@@ -158,8 +170,16 @@ class TestRunRelations:
         assert np.array_equal(ds.x_block()[:, 0], matrix[:, 0])
         assert np.array_equal(ds.y_block()[:, 0], matrix[:, 3])
 
+    @pytest.mark.parametrize(
+        "x, y, z",
+        [("u", "u", ("v",)), ("u", "w", ("u",)), ("u", "w", ("w", "v")), ("u", "w", ("v", "v"))],
+    )
+    def test_column_named_twice_rejected(self, x, y, z):
+        with pytest.raises(SchemaMismatch, match=f"relation {x},{y},"):
+            Relation(x=x, y=y, z=z, label="CI")
+
     def test_empty_conditioning_set(self):
         names, matrix, cols = structural_table(3, n=240)
         rels = [Relation(x="u", y="t", z=(), label="NOTCI")]
-        rep = run_relations(names, matrix, cols, rels, TestConfig(seed=2), seed=6)
+        rep = run_relations(names, matrix, cols, rels, TestConfig(seed=6))
         assert len(rep.rows) == 1

@@ -1,6 +1,7 @@
 """Boosted trees and error measurement."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,41 @@ class TestClassifierError:
         lab = as_labeled(f, y)
         with pytest.raises(EmptyTest):
             classifier_error(object(), lab.take([]))
+
+
+class TestLogisticPrimitives:
+    """The booster's sigmoid and loss, which must stay exact at any margin."""
+
+    def test_sigmoid_is_bounded_and_silent_at_huge_margins(self):
+        m = np.array([-1000.0, -745.0, -50.0, 0.0, 50.0, 745.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the naive 1/(1+exp(-m)) overflows at -1000
+            p = classify._sigmoid(m)
+        assert np.all(np.isfinite(p)) and np.all((0.0 <= p) & (p <= 1.0))
+        assert p[0] == 0.0 and p[3] == 0.5 and p[-1] == 1.0
+
+    def test_sigmoid_is_symmetric(self):
+        m = np.concatenate([derive_rng(0, "sigmoid-sym").normal(0.0, 10.0, 500), [0.0, 1e-300, 40.0, 1000.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = classify._sigmoid(m) + classify._sigmoid(-m)
+        assert np.max(np.abs(total - 1.0)) <= 1e-15
+
+    def test_logloss_matches_naive_cross_entropy(self):
+        rng = derive_rng(0, "logloss-naive")
+        for _ in range(20):
+            m = rng.uniform(-5.0, 5.0, 50)
+            y = rng.integers(0, 2, 50).astype(np.float64)
+            p = 1.0 / (1.0 + np.exp(-m))
+            naive = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+            assert classify._logloss(m, y) == pytest.approx(naive, rel=1e-12)
+
+    def test_logloss_is_finite_at_huge_margins(self):
+        m = np.array([1000.0, -1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify._logloss(m, np.array([0.0, 1.0])) == 1000.0
+            assert classify._logloss(m, np.array([1.0, 0.0])) == 0.0
 
 
 class TestFeatureEncoder:

@@ -213,6 +213,15 @@ class TestBench:
             outs.append(json.dumps(rep, sort_keys=True))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_out_of_range_parallel_exits_two(self, parallel, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "bench", "--n-h0", "1", "--n-h1", "1", "--n", "150", "--parallel", parallel,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "parallel" in stderr
+
 
 class TestRelations:
     def test_end_to_end(self, tmp_path, capsys):
@@ -247,6 +256,19 @@ class TestRelations:
         code, _, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize("row", ["a,a,c", "a,b,a", "a,b,c;c"])
+    def test_column_named_twice_is_an_error(self, row, tmp_path, capsys):
+        """A relation that names one column twice would test a column
+        against itself and read as CI; it exits 2 instead."""
+        data = tmp_path / "table.csv"
+        data.write_text("a,b,c\n" + "\n".join(f"{i}.0,{i+1}.0,{i+2}.0" for i in range(70)) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text(f"X,Y,Z,label\n{row},CI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "more than once" in err
 
     def test_relation_file_without_label_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "table.csv"
