@@ -35,12 +35,9 @@ from .datagen import (
 )
 from .mimic import MimicModel, fit_reg_mimic, mimic_apply
 from .oracle import (
-    DiscreteDist,
     GapReport,
     bayes_error,
     ci_projection,
-    coupling_overlap,
-    coupling_overlap_table,
     gap_report,
     is_ci,
     run_verify,
@@ -57,7 +54,6 @@ __all__ = [
     "Column",
     "DEFAULT_SEED",
     "Dataset",
-    "DiscreteDist",
     "DiscreteJoint",
     "GapReport",
     "GbtConfig",
@@ -71,8 +67,6 @@ __all__ = [
     "ci_projection",
     "ci_test",
     "classifier_error",
-    "coupling_overlap",
-    "coupling_overlap_table",
     "fit_reg_mimic",
     "gap_pvalue",
     "gap_report",

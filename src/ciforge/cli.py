@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,7 +26,6 @@ from .core import (
     read_dataset,
     read_relations,
     read_table,
-    require_number,
     write_dataset,
 )
 from .datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
@@ -35,94 +33,53 @@ from .errors import CiforgeError
 from .oracle import run_verify
 from .testkit import TestConfig, ci_test
 
-SEED_ENV = "CIFORGE_SEED"
-
-
-def _resolve_seed(args, file_cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return require_number("seed", file_cfg["seed"], integer=True)
-    tester = file_cfg.get("tester")
-    if isinstance(tester, dict) and "seed" in tester:
-        return require_number("tester.seed", tester["seed"], integer=True)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
-
-
-# Top-level --config keys each subcommand reads; any other key is an error.
-_TOP_LEVEL_KEYS = {
-    "gen": {"seed"},
-    "verify": {"seed"},
-    "test": {"seed", "tester"},
-    "relations": {"seed", "tester"},
-    "bench": {"seed", "tester", "n_h0", "n_h1", "n", "d_z", "a_xy", "noise_var"},
-}
-
-
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise CiforgeError("--config must hold a JSON object")
-    unknown = sorted(set(cfg) - _TOP_LEVEL_KEYS[args.command])
-    if unknown:
-        raise CiforgeError(f"unknown top-level key(s) in --config for '{args.command}': {', '.join(unknown)}")
-    return cfg
-
 
 def _config_kwargs(cls, given, where: str) -> dict:
     """Keyword arguments for the config class ``cls`` from a JSON object."""
     if not isinstance(given, dict):
-        raise CiforgeError(f"'{where}' in --config must be an object")
+        raise CiforgeError(f"{where} must hold a JSON object")
     unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
-        raise CiforgeError(f"unknown key(s) under '{where}' in --config: {', '.join(unknown)}")
+        raise CiforgeError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     return dict(given)
 
 
-def _tester_from(args, file_cfg: dict) -> TestConfig:
-    kwargs = _config_kwargs(TestConfig, file_cfg.get("tester", {}), "tester")
-    if "gbt" in kwargs:
-        kwargs["gbt"] = GbtConfig(**_config_kwargs(GbtConfig, kwargs["gbt"], "tester.gbt"))
+def _tester_from(args) -> TestConfig:
+    """The --config file's TestConfig, with --alpha and --seed put over it."""
+    kwargs = {}
+    if args.config is not None:
+        kwargs = _config_kwargs(TestConfig, json.loads(Path(args.config).read_text()), "--config")
+        if "gbt" in kwargs:
+            kwargs["gbt"] = GbtConfig(**_config_kwargs(GbtConfig, kwargs["gbt"], "--config's 'gbt'"))
     if args.alpha is not None:
         kwargs["alpha"] = args.alpha
-    kwargs["seed"] = _resolve_seed(args, file_cfg)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     return TestConfig(**kwargs)
 
 
 def _emit(payload: dict, args, summary: str) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
-    out = getattr(args, "out", None)
-    if out is not None:
-        Path(out).write_text(text + "\n")
+    if args.out is not None:
+        Path(args.out).write_text(text + "\n")
     print(summary, file=sys.stderr)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help=f"master seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
+def _add_tester_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON TestConfig file, the shape of a test report's config")
+    p.add_argument("--alpha", type=float, help="significance level; H1 when gap > sqrt(2 ln(2/alpha) / n_s)")
+    p.add_argument("--seed", type=int, help=f"master seed (default: the --config seed, else {DEFAULT_SEED})")
     p.add_argument("--out", help="also write the JSON report to this path")
 
 
-def _add_tester_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, help="significance level; H1 when gap > sqrt(2 ln(2/alpha) / n_s)")
-
-
 def _cmd_gen(args) -> int:
-    file_cfg = _load_config(args)
-    seed = _resolve_seed(args, file_cfg)
     out = Path(args.data_out)
     sidecar = out.with_suffix(out.suffix + ".meta.json")
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     if args.kind == "pnl":
         cfg = PostNonlinearConfig(
-            d_z=args.d_z, n=args.n, ci=args.ci, a_xy=args.a_xy, noise_var=args.noise_var, seed=seed
+            d_z=args.d_z, n=args.n, ci=args.ci, a_xy=args.a_xy, noise_var=args.noise_var, seed=args.seed
         )
         ds = gen_postnonlinear(cfg)
         manifest = {
@@ -132,13 +89,13 @@ def _cmd_gen(args) -> int:
             "ci": args.ci,
             "a_xy": args.a_xy,
             "noise_var": args.noise_var,
-            "seed": seed,
+            "seed": args.seed,
         }
     else:
         sizes = tuple(int(s) for s in args.sizes.split(","))
-        joint = gen_discrete_joint(sizes, ci=args.ci, seed=seed)
-        ds = sample_discrete(joint, args.n, seed=seed)
-        manifest = {"kind": "discrete", "n": args.n, "sizes": list(sizes), "ci": args.ci, "seed": seed}
+        joint = gen_discrete_joint(sizes, ci=args.ci, seed=args.seed)
+        ds = sample_discrete(joint, args.n, seed=args.seed)
+        manifest = {"kind": "discrete", "n": args.n, "sizes": list(sizes), "ci": args.ci, "seed": args.seed}
     write_dataset(ds, out, sidecar)
     manifest["csv"] = str(out)
     manifest["sidecar"] = str(sidecar)
@@ -156,8 +113,7 @@ def _sidecar_for(data_path: str, explicit: str | None):
 
 
 def _cmd_test(args) -> int:
-    file_cfg = _load_config(args)
-    tester = _tester_from(args, file_cfg)
+    tester = _tester_from(args)
     ds = read_dataset(args.data, _sidecar_for(args.data, args.sidecar))
     report = ci_test(ds, tester)
     _emit(
@@ -169,16 +125,14 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    file_cfg = _load_config(args)
-    tester = _tester_from(args, file_cfg)
     cfg = BenchmarkConfig(
-        n_h0=args.n_h0 if args.n_h0 is not None else file_cfg.get("n_h0", 10),
-        n_h1=args.n_h1 if args.n_h1 is not None else file_cfg.get("n_h1", 10),
-        n=args.n if args.n is not None else file_cfg.get("n", 1000),
-        d_z=args.d_z if args.d_z is not None else file_cfg.get("d_z", 5),
-        a_xy=file_cfg.get("a_xy", 2.0),
-        noise_var=file_cfg.get("noise_var", 0.25),
-        tester=tester,
+        n_h0=args.n_h0,
+        n_h1=args.n_h1,
+        n=args.n,
+        d_z=args.d_z,
+        a_xy=args.a_xy,
+        noise_var=args.noise_var,
+        tester=_tester_from(args),
         parallel=args.parallel,
     )
     report = run_benchmark(cfg)
@@ -193,8 +147,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    file_cfg = _load_config(args)
-    tester = _tester_from(args, file_cfg)
+    tester = _tester_from(args)
     names, matrix, cols = read_table(args.data, _sidecar_for(args.data, args.sidecar))
     rels = read_relations(args.relations)
     report = run_relations(names, matrix, cols, rels, tester)
@@ -209,15 +162,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    file_cfg = _load_config(args)
-    seed = _resolve_seed(args, file_cfg)
-    report = run_verify(
-        seed=seed,
-        n_gap_joints=args.joints,
-        n_ci=args.ci_joints,
-        n_dep=args.ci_joints,
-        n_pairs=args.pairs,
-    )
+    report = run_verify(seed=args.seed)
     worst = {name: c["worst_slack"] for name, c in report["checks"].items()}
     _emit(report, args, f"all_pass={report['all_pass']} worst_slack={json.dumps(worst)}")
     return 0 if report["all_pass"] else 2
@@ -236,25 +181,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-var", type=float, default=0.25, dest="noise_var")
     p.add_argument("--sizes", default="3,3,3", help="discrete alphabet sizes, e.g. 3,3,3")
     p.add_argument("--data-out", required=True, help="CSV output path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default: %(default)s)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("test", help="run the CI test on a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--sidecar", help="column-kind JSON (default: <data>.meta.json if present)")
     _add_tester_flags(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("bench", help="run an H0/H1 sweep and report ROC-AUC")
-    p.add_argument("--n-h0", type=int, dest="n_h0")
-    p.add_argument("--n-h1", type=int, dest="n_h1")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d-z", type=int, dest="d_z")
+    p.add_argument("--n-h0", type=int, default=10, dest="n_h0")
+    p.add_argument("--n-h1", type=int, default=10, dest="n_h1")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--d-z", type=int, default=5, dest="d_z")
+    p.add_argument("--a-xy", type=float, default=2.0, dest="a_xy")
+    p.add_argument("--noise-var", type=float, default=0.25, dest="noise_var")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--scores-csv", help="also write (dataset_id,label,p_value) CSV")
     _add_tester_flags(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("relations", help="run the tester over a relation file")
@@ -263,14 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar")
     p.add_argument("--scores-csv")
     _add_tester_flags(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_relations)
 
     p = sub.add_parser("verify", help="run the exact oracle property battery")
-    p.add_argument("--joints", type=int, default=500, help="random joints for the bound checks")
-    p.add_argument("--ci-joints", type=int, default=100, dest="ci_joints")
-    p.add_argument("--pairs", type=int, default=1000, help="random pmf pairs for identity checks")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default: %(default)s)")
+    p.add_argument("--out", help="also write the JSON report to this path")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,7 +25,7 @@ from .errors import SchemaMismatch, TooFewRows
 
 MASK64 = (1 << 64) - 1
 
-#: Seed used by the CLI when neither --seed nor CIFORGE_SEED is given.
+#: Master seed of a TestConfig, and of the CLI when no seed is given.
 DEFAULT_SEED = 20180618
 
 
@@ -60,6 +60,8 @@ class Column:
         if self.kind not in ("continuous", "categorical"):
             raise SchemaMismatch(f"unknown column kind {self.kind!r} for {self.name!r}")
         if self.kind == "categorical":
+            if self.cardinality is not None:
+                require_number(f"cardinality of {self.name!r}", self.cardinality, integer=True)
             if self.cardinality is None or self.cardinality < 2:
                 raise SchemaMismatch(f"categorical column {self.name!r} needs cardinality >= 2")
         elif self.cardinality is not None:
@@ -222,7 +224,8 @@ def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
 # Dataset CSV: header names prefixed x_/y_/z_; optional sidecar JSON
 #   {"columns": {"z_1": {"kind": "categorical", "cardinality": 3}}}
 # maps column names to kinds.  Absent sidecar means all continuous; a
-# sidecar path that is given must exist and name only columns of the CSV.
+# sidecar path that is given must exist, hold exactly that shape (no other
+# keys at either level) and name only columns of the CSV.
 # Cell values are written with repr() so finite floats round-trip bit-exactly.
 
 
@@ -251,20 +254,20 @@ def write_dataset(ds: Dataset, path, sidecar_path=None) -> None:
         Path(sidecar_path).write_text(json.dumps(meta, sort_keys=True, indent=2))
 
 
-def _column_from_meta(name: str, meta: dict) -> Column:
-    spec = meta.get(name)
-    if spec is None:
-        return Column(name)
-    return Column(name, kind=spec.get("kind", "continuous"), cardinality=spec.get("cardinality"))
-
-
 def _read_sidecar(sidecar_path) -> dict:
     if sidecar_path is None:
         return {}
+    where = f"sidecar {str(sidecar_path)!r}"
     p = Path(sidecar_path)
     if not p.is_file():
-        raise SchemaMismatch(f"sidecar {str(p)!r} does not exist")
-    return json.loads(p.read_text()).get("columns", {})
+        raise SchemaMismatch(f"{where} does not exist")
+    meta = json.loads(p.read_text())
+    if not isinstance(meta, dict) or set(meta) != {"columns"} or not isinstance(meta["columns"], dict):
+        raise SchemaMismatch(f'{where} must be {{"columns": {{name: {{"kind": ..., "cardinality": ...}}}}}}')
+    for name, spec in meta["columns"].items():
+        if not isinstance(spec, dict) or not set(spec) <= {"kind", "cardinality"}:
+            raise SchemaMismatch(f"{where}: column {name!r} must map to an object of 'kind' and 'cardinality'")
+    return meta["columns"]
 
 
 def read_dataset(path, sidecar_path=None) -> Dataset:
@@ -318,7 +321,7 @@ def read_table(path, sidecar_path=None) -> tuple[list[str], np.ndarray, dict[str
     unknown = sorted(set(meta) - set(header))
     if unknown:
         raise SchemaMismatch(f"sidecar names column(s) the CSV lacks: {', '.join(unknown)}")
-    cols = {name: _column_from_meta(name, meta) for name in header}
+    cols = {name: Column(name, **meta.get(name, {})) for name in header}
     return list(header), data, cols
 
 
@@ -348,7 +351,12 @@ def read_relations(path) -> list[Relation]:
         missing = [c for c in ("X", "Y", "label") if c not in (reader.fieldnames or ())]
         if missing:
             raise SchemaMismatch(f"relation file lacks column(s): {', '.join(missing)}")
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
+            short = [name for name in reader.fieldnames if row[name] is None]
+            if short:
+                raise SchemaMismatch(
+                    f"relation row {i} (line {reader.line_num}) lacks column(s): {', '.join(short)}"
+                )
             label = row["label"].strip()
             if label not in ("CI", "NOTCI"):
                 raise SchemaMismatch(f"relation label must be CI or NOTCI, got {label!r}")

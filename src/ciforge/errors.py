@@ -17,10 +17,6 @@ class SupportMismatch(CiforgeError):
     """Two distributions live on supports of different sizes."""
 
 
-class ZeroMarginal(CiforgeError):
-    """A conditional was requested at a cell with zero probability mass."""
-
-
 class SizeOutOfRange(CiforgeError):
     """Alphabet size outside the supported range."""
 

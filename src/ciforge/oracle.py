@@ -27,46 +27,23 @@ from scipy.optimize import linprog
 
 from .core import derive_rng
 from .datagen import DiscreteJoint, gen_discrete_joint
-from .errors import InvalidConditional, SupportMismatch, ZeroMarginal
+from .errors import InvalidConditional, SupportMismatch
 
 IDENTITY_TOL = 1e-14
 SUM_TOL = 1e-12
 NONZERO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
-    """A validated pmf on a finite support."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64, copy=True)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 1:
-            raise ValueError("probs must be a vector")
-        if np.any(p < 0):
-            raise ValueError("probs has negative entries")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs sums to {p.sum()!r}, not 1")
-
-    @property
-    def support_size(self) -> int:
-        return self.probs.size
-
-
-def _as_probs(p) -> np.ndarray:
-    if isinstance(p, DiscreteDist):
-        return p.probs
-    return np.asarray(p, dtype=np.float64)
+def _pmf_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise SupportMismatch(f"support sizes differ: {p.shape} vs {q.shape}")
+    return p, q
 
 
 def tv_distance(p, q) -> float:
     """Half the L1 distance between two pmfs on a common support."""
-    p, q = _as_probs(p), _as_probs(q)
-    if p.shape != q.shape:
-        raise SupportMismatch(f"support sizes differ: {p.shape} vs {q.shape}")
+    p, q = _pmf_pair(p, q)
     return 0.5 * float(np.abs(p - q).sum())
 
 
@@ -75,9 +52,7 @@ def bayes_error(p, q) -> float:
 
     Equals (1/2) sum_i min(p_i, q_i), which is 1/2 - TV/2.
     """
-    p, q = _as_probs(p), _as_probs(q)
-    if p.shape != q.shape:
-        raise SupportMismatch(f"support sizes differ: {p.shape} vs {q.shape}")
+    p, q = _pmf_pair(p, q)
     return 0.5 * float(np.minimum(p, q).sum())
 
 
@@ -88,9 +63,7 @@ def max_coupling_mass_lp(p, q) -> float:
     (intended for tiny supports).  Cross-checks the closed form
     sum_i min(p_i, q_i) independently of it.
     """
-    p, q = _as_probs(p), _as_probs(q)
-    if p.shape != q.shape:
-        raise SupportMismatch(f"support sizes differ: {p.shape} vs {q.shape}")
+    p, q = _pmf_pair(p, q)
     s = p.size
     c = np.zeros(s * s)
     c[:: s + 1] = -1.0  # maximize the diagonal mass
@@ -111,40 +84,13 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _x_conditionals(joint: DiscreteJoint):
-    """p(x|z) as (nx, nz) and p(x|y,z) as (nx, ny, nz), zero where undefined."""
-    p_z = joint.p_z()
-    p_yz = joint.p_yz()
-    px_z = _safe_div(joint.p_xz(), p_z[None, :])
-    px_yz = _safe_div(joint.pmf, p_yz[None, :, :])
-    return px_z, px_yz, p_z, p_yz
-
-
 def _overlap_grid(joint: DiscreteJoint):
     """Overlap sum_x min(p(x|z), p(x|y,z)) per (y,z), with a validity mask."""
-    px_z, px_yz, _, p_yz = _x_conditionals(joint)
+    p_yz = joint.p_yz()
+    px_z = _safe_div(joint.p_xz(), joint.p_z()[None, :])
+    px_yz = _safe_div(joint.pmf, p_yz[None, :, :])
     eps = np.minimum(px_z[:, None, :], px_yz).sum(axis=0)
     return eps, p_yz > 0
-
-
-def coupling_overlap(joint: DiscreteJoint, y: int, z: int) -> float:
-    """Maximal-coupling mass between p(x|z) and p(x|y,z) at one (y,z) cell.
-
-    This is 1 - TV of the two conditionals; it is 1 exactly when knowing y
-    adds nothing about x at that cell, and < 1 signals conditional
-    dependence concentrated there.
-    """
-    eps, mask = _overlap_grid(joint)
-    if not mask[y, z]:
-        raise ZeroMarginal(f"p(y={y}, z={z}) = 0; conditional undefined")
-    return float(eps[y, z])
-
-
-def coupling_overlap_table(joint: DiscreteJoint) -> dict[tuple[int, int], float]:
-    """Overlap per (y,z) cell, over cells with positive marginal mass."""
-    eps, mask = _overlap_grid(joint)
-    ys, zs = np.nonzero(mask)
-    return {(int(y), int(z)): float(eps[y, z]) for y, z in zip(ys, zs)}
 
 
 def ci_projection(joint: DiscreteJoint) -> DiscreteJoint:
@@ -199,7 +145,11 @@ class GapReport:
       a lower bound in general.
 
     All three coincide when q equals the true conditional p(y|z).
-    Construction fails if any of the valid relations is violated beyond
+
+    ``overlap`` maps each (y,z) cell with p(y,z) > 0 to eps, the
+    maximal-coupling mass between p(x|z) and p(x|y,z) there (1 - TV of the
+    two conditionals).  It is 1 exactly when knowing y adds nothing about x
+    at that cell, and it does not depend on q.  Construction fails if any of the valid relations is violated beyond
     rounding, so a successfully built report is itself the check.
     """
 

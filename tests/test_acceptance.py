@@ -277,13 +277,14 @@ def test_criterion_6_bench_determinism(tmp_path, capsys):
     from ciforge.cli import main
 
     cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({
-        "n_h0": 2, "n_h1": 2, "n": 150, "d_z": 2, "seed": ACC_SEED,
-        "tester": {"gbt": {"rounds": 15}},
-    }))
+    cfg.write_text(json.dumps({"gbt": {"rounds": 15}}))
+    argv = [
+        "bench", "--n-h0", "2", "--n-h1", "2", "--n", "150", "--d-z", "2",
+        "--seed", str(ACC_SEED), "--config", str(cfg),
+    ]
     outs = []
     for _ in range(2):
-        assert main(["bench", "--config", str(cfg)]) == 0
+        assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         for row in payload["rows"]:
             row.pop("wall_clock_s")

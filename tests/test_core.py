@@ -136,6 +136,12 @@ class TestDatasetValidation:
         with pytest.raises(SchemaMismatch):
             Column("z_0", "categorical")
 
+    @pytest.mark.parametrize("cardinality", [3.5, 3.0, 40.0, "3", True])
+    def test_categorical_cardinality_must_be_an_integer(self, cardinality):
+        with pytest.raises(ValueError, match="cardinality of 'z_0' must be an integer"):
+            Column("z_0", "categorical", cardinality)
+        assert Column("z_0", "categorical", np.int64(3)).cardinality == 3
+
 
 class TestCsvRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from ciforge.core import derive_rng
 from ciforge.datagen import DiscreteJoint, gen_discrete_joint
-from ciforge.errors import InvalidConditional, SupportMismatch, ZeroMarginal
+from ciforge.errors import InvalidConditional, SupportMismatch
 from ciforge.oracle import (
     bayes_error,
     ci_projection,
-    coupling_overlap,
-    coupling_overlap_table,
     gap_report,
     is_ci,
     max_coupling_mass_lp,
@@ -31,26 +29,6 @@ from ciforge.oracle import (
 probs = st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=6).map(
     lambda w: np.asarray(w, dtype=float) / sum(w)
 )
-
-
-class TestDiscreteDist:
-    def test_validation(self):
-        from ciforge.oracle import DiscreteDist
-
-        d = DiscreteDist(np.array([0.25, 0.75]))
-        assert d.support_size == 2
-        with pytest.raises(ValueError):
-            DiscreteDist(np.array([0.6, 0.6]))
-        with pytest.raises(ValueError):
-            DiscreteDist(np.array([-0.1, 1.1]))
-
-    def test_usable_in_operations(self):
-        from ciforge.oracle import DiscreteDist
-
-        p = DiscreteDist(np.array([0.5, 0.5]))
-        q = DiscreteDist(np.array([1.0, 0.0]))
-        assert tv_distance(p, q) == 0.5
-        assert bayes_error(p, q) == 0.25
 
 
 class TestTvDistance:
@@ -100,21 +78,25 @@ class TestBayesError:
         assert worst <= 1e-14
 
 
+def overlap_table(joint):
+    """The per-cell overlap, which gap_report range-checks on construction."""
+    return gap_report(joint, true_conditional(joint)).overlap
+
+
 class TestCouplingOverlap:
     def test_ci_joint_has_unit_overlap(self):
         joint = gen_discrete_joint((3, 3, 3), ci=True, seed=1)
-        table = coupling_overlap_table(joint)
+        table = overlap_table(joint)
         assert table
         assert all(abs(v - 1.0) <= 1e-12 for v in table.values())
 
     def test_matches_lp_solver(self):
         """Closed form vs the transportation LP on every (y,z) cell."""
-        rng = derive_rng(5, "overlap-lp")
         for seed in range(5):
             joint = gen_discrete_joint((3, 2, 2), ci=False, seed=seed)
             p_z = joint.p_z()
             px_z = joint.p_xz() / p_z[None, :]
-            for (y, z), eps in coupling_overlap_table(joint).items():
+            for (y, z), eps in overlap_table(joint).items():
                 p_yz = joint.p_yz()[y, z]
                 px_yz = joint.pmf[:, y, z] / p_yz
                 assert abs(eps - max_coupling_mass_lp(px_z[:, z], px_yz)) <= 1e-8
@@ -122,26 +104,33 @@ class TestCouplingOverlap:
     def test_values_in_unit_interval(self):
         for seed in range(10):
             joint = gen_discrete_joint((4, 4, 4), ci=False, seed=seed)
-            for v in coupling_overlap_table(joint).values():
+            for v in overlap_table(joint).values():
                 assert -1e-12 <= v <= 1 + 1e-12
 
-    def test_zero_marginal_raises(self):
+    def test_zero_mass_cells_excluded(self):
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = 0.5
-        pmf[1, 1, 1] = 0.5
-        joint = DiscreteJoint((2, 2, 2), pmf)
-        assert coupling_overlap(joint, 0, 0) == pytest.approx(1.0)
-        with pytest.raises(ZeroMarginal):
-            coupling_overlap(joint, 1, 0)
+        pmf[1, 0, 1] = 0.25
+        pmf[0, 1, 1] = 0.25
+        table = overlap_table(DiscreteJoint((2, 2, 2), pmf))
+        assert set(table) == {(0, 0), (0, 1), (1, 1)}
+        assert table[(0, 0)] == pytest.approx(1.0)
+        assert table[(0, 1)] == pytest.approx(0.5)
 
     def test_deterministic_diagonal_joint(self):
         """X=Y=Z uniform binary: conditioning on z fixes x, so overlap is 1."""
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = 0.5
         pmf[1, 1, 1] = 0.5
-        table = coupling_overlap_table(DiscreteJoint((2, 2, 2), pmf))
+        table = overlap_table(DiscreteJoint((2, 2, 2), pmf))
         assert set(table) == {(0, 0), (1, 1)}
         assert all(abs(v - 1.0) <= 1e-12 for v in table.values())
+
+    def test_table_does_not_depend_on_q(self):
+        for seed in range(5):
+            joint = gen_discrete_joint((3, 3, 3), ci=False, seed=seed)
+            unif = gap_report(joint, uniform_conditional(joint)).overlap
+            assert unif == overlap_table(joint)
 
 
 class TestCiProjection:
@@ -276,6 +265,13 @@ class TestCouplingLp:
     def test_identical_distributions_couple_fully(self):
         p = np.array([0.3, 0.7])
         assert max_coupling_mass_lp(p, p) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verify_rejects_negative_counts():
+    """The CLI always runs the default battery, but library callers and the
+    benchmark pass counts, so a negative one is refused before any work."""
+    with pytest.raises(ValueError, match="must be >= 0, got n_pairs=-1"):
+        run_verify(seed=1, n_pairs=-1)
 
 
 def test_verify_battery_small():
