@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -138,6 +137,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     """Generate, test, and score a full sweep; deterministic given the seed."""
     jobs = [(i, i < config.n_h0, config) for i in range(config.n_h0 + config.n_h1)]
     if config.parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallel) as pool:
             rows = list(pool.map(_bench_row, jobs))
     else:

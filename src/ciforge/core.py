@@ -357,6 +357,11 @@ def read_relations(path) -> list[Relation]:
                 raise SchemaMismatch(
                     f"relation row {i} (line {reader.line_num}) lacks column(s): {', '.join(short)}"
                 )
+            if None in row:
+                raise SchemaMismatch(
+                    f"relation row {i} (line {reader.line_num}) has {len(reader.fieldnames) + len(row[None])} "
+                    f"cells, the header has {len(reader.fieldnames)}"
+                )
             label = row["label"].strip()
             if label not in ("CI", "NOTCI"):
                 raise SchemaMismatch(f"relation label must be CI or NOTCI, got {label!r}")

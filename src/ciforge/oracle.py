@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import derive_rng
 from .datagen import DiscreteJoint, gen_discrete_joint
@@ -61,8 +60,11 @@ def max_coupling_mass_lp(p, q) -> float:
 
     Solved as an explicit linear program over the transportation polytope
     (intended for tiny supports).  Cross-checks the closed form
-    sum_i min(p_i, q_i) independently of it.
+    sum_i min(p_i, q_i) independently of it.  scipy is imported here, at
+    its only use, so that ``import ciforge`` does not load its solvers.
     """
+    from scipy.optimize import linprog
+
     p, q = _pmf_pair(p, q)
     s = p.size
     c = np.zeros(s * s)

@@ -331,6 +331,16 @@ class TestRelations:
         assert stdout == ""
         assert "data row 5 (line 6) has 2 cells, the header has 3" in err
 
+    def test_long_relation_row_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "table.csv"
+        data.write_text("u,v\n" + "\n".join(f"{i}.0,{i+1}.0" for i in range(70)) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label\nu,v,,NOTCI\nu,v,,CI,NOTCI\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "relation row 2 (line 3) has 5 cells, the header has 4" in err
+
     def test_non_numeric_cell_is_an_error(self, tmp_path, capsys):
         rows = [f"{i}.0,{i+1}.0,{i%7}.0" for i in range(70)]
         rows[2] = "2.0,x,2.0"

@@ -5,6 +5,11 @@ for overlap values, direct marginalization for CI checks, and brute-force
 grids for the variational maximizer.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +270,27 @@ class TestCouplingLp:
     def test_identical_distributions_couple_fully(self):
         p = np.array([0.3, 0.7])
         assert max_coupling_mass_lp(p, p) == pytest.approx(1.0, abs=1e-9)
+
+    def test_scipy_loads_only_when_the_lp_runs(self):
+        """``import ciforge`` and its CLI load neither scipy nor the process
+        pool; the LP cross-check loads its solver on first use.  The pytest
+        process already holds scipy, so this runs in a fresh interpreter."""
+        script = """
+import sys
+import numpy as np
+import ciforge, ciforge.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+          or m.startswith("multiprocessing") or m == "concurrent.futures.process"]
+assert not loaded, sorted(loaded)[:8]
+from ciforge.oracle import max_coupling_mass_lp
+p, q = np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])
+assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
+assert "scipy.optimize" in sys.modules
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_rejects_negative_counts():

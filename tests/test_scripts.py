@@ -57,3 +57,19 @@ def test_bench_split_kernel_digests_match_the_record():
     for name, (fit, shape) in script.workloads(1.0, 200).items():
         assert list(shape) == record[name]["shape"]
         assert script.digest(fit()) == record[name]["sha256"], name
+
+
+def test_bench_import(tmp_path, monkeypatch):
+    script = load_script("bench_import")
+    monkeypatch.setattr(script, "REPEATS", 1)
+    out = tmp_path / "import.json"
+    assert script.main(["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"import", "test", "repeats", "env"} and report["repeats"] == 1
+    assert set(report["import"]) == {"median_s", "runs_s", "numpy_median_s", "maxrss_mb"}
+    assert set(report["test"]) == {"gen", "median_s", "runs_s", "peak_rss_mb", "exit_code", "stdout_sha256"}
+    assert len(report["import"]["runs_s"]) == len(report["test"]["runs_s"]) == 1
+    # The recorded sides differ only in what they load, so `ciforge test` prints their report.
+    record = json.loads((SCRIPTS.parent / "BENCH_import.json").read_text())["change"]["test"]
+    assert report["test"]["exit_code"] == record["exit_code"]
+    assert report["test"]["stdout_sha256"] == record["stdout_sha256"]
