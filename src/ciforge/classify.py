@@ -19,6 +19,15 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
 * a feature with no repeated value among all training rows has none among
   a node's rows, so every cut of it lies between distinct values and only
   features with repeats gather their values to find the boundaries;
+* when every feature has repeats (one-hot data), few cuts lie between
+  distinct values, and a node scores only those: it returns at once if no
+  feature has one, cumsums g and h only for the features that do and only
+  up to the last of them, and computes the gain of the boundary cells
+  alone.  That is bit-identical to scoring every cell: a prefix of a cumsum
+  is the cumsum of the prefix, each gain is the same IEEE operations on the
+  same sums, one argmax over the cells in feature-major order is the first
+  maximum within and then across features, and a NaN gain still rules out
+  its whole feature;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -214,39 +223,88 @@ class _TreeBuilder:
         )
         return tree, row_values
 
-    def _boundaries(self, order: np.ndarray) -> np.ndarray:
-        """(d, m) mask of the cuts between distinct values.
-
-        Column k is the cut between sorted positions k and k + 1; the last
-        column has no right side and stays False.
-        """
-        ok = np.zeros(order.shape, dtype=bool)
-        tied = self.tied
-        if tied.size == order.shape[0]:
-            v = self.f_t.ravel()[order + self.offsets]
-            np.not_equal(v[:, :-1], v[:, 1:], out=ok[:, :-1])
-            return ok
-        ok[:, :-1] = True  # a tie-free feature has a boundary at every cut
-        if tied.size:
-            v = self.f_t.ravel()[order[tied] + self.offsets[tied]]
-            ok[tied, :-1] = v[:, :-1] != v[:, 1:]
-        return ok
-
     def _best_split(self, order, g, h, g_sum, h_sum):
         """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
         if order.shape[1] < 2:
             return None
-        ok = self._boundaries(order)
-        # cumsum along a row is a sequential add, as on a 1-D array, and the
-        # in-place steps below are the IEEE operations of
-        # gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent.
+        if self.tied.size == order.shape[0]:
+            best = self._best_boundary_cut(order, g, h, g_sum, h_sum)
+        else:
+            best = self._best_cut(order, g, h, g_sum, h_sum)
+        if best is None:
+            return None
+        j, k = best
+        lo, hi = self.f_t[j, order[j, k]], self.f_t[j, order[j, k + 1]]
+        thr = 0.5 * (lo + hi)
+        if thr >= hi:  # midpoint rounded up to the right value
+            thr = lo
+        return j, float(thr)
+
+    def _best_cut(self, order, g, h, g_sum, h_sum):
+        """(feature, sorted position) of the best cut, scoring every cell."""
+        # Column k is the cut between sorted positions k and k + 1; the last
+        # column has no right side.  A tie-free feature has a boundary at
+        # every cut, so only the tied ones gather their values.
+        ok = np.zeros(order.shape, dtype=bool)
+        ok[:, :-1] = True
+        tied = self.tied
+        if tied.size:
+            v = self.f_t.ravel()[order[tied] + self.offsets[tied]]
+            ok[tied, :-1] = v[:, :-1] != v[:, 1:]
+        # cumsum along a row is a sequential add, as on a 1-D array.
         gl = g[order]
         np.cumsum(gl, axis=1, out=gl)
         hl = h[order]
         np.cumsum(hl, axis=1, out=hl)
+        gain = self._gain(gl, hl, ok, g_sum, h_sum)
+        cut = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
+        row_best = gain[np.arange(gain.shape[0]), cut]
+        wins = row_best > _GAIN_EPS  # False for NaN, as the strict compare was
+        if not wins.any():
+            return None
+        j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
+        return j, int(cut[j])
+
+    def _best_boundary_cut(self, order, g, h, g_sum, h_sum):
+        """``_best_cut`` for a matrix whose every feature has ties: it scores
+        only the cuts between distinct values, which are few there."""
+        v = self.f_t.ravel()[order + self.offsets]
+        ok = v[:, :-1] != v[:, 1:]
+        feats = np.flatnonzero(ok.any(axis=1))
+        if feats.size == 0:  # every feature constant in the node
+            return None
+        if feats.size < ok.shape[0]:
+            order, ok = order[feats], ok[feats]
+        # Flat positions are feature-major, the order of the row-wise scan.
+        rows, cuts = np.divmod(np.flatnonzero(ok), ok.shape[1])
+        # The sequential cumsums of _best_cut, up to the last boundary only:
+        # a prefix of a cumsum is the cumsum of the prefix.
+        head = order[:, : cuts.max() + 1]
+        gl = g[head]
+        np.cumsum(gl, axis=1, out=gl)
+        hl = h[head]
+        np.cumsum(hl, axis=1, out=hl)
+        gain = self._gain(gl[rows, cuts], hl[rows, cuts], True, g_sum, h_sum)
+        nan = np.isnan(gain)
+        if nan.any():  # a NaN gain rules out its whole feature, as in _best_cut
+            np.copyto(gain, -np.inf, where=np.isin(rows, rows[nan]))
+        # The first max in feature-major order is the first max of the first
+        # feature whose best gain is the largest: both tie-breaks of _best_cut.
+        k = int(np.argmax(gain))
+        if not gain[k] > _GAIN_EPS:
+            return None
+        return int(feats[rows[k]]), int(cuts[k])
+
+    @staticmethod
+    def _gain(gl, hl, ok, g_sum, h_sum):
+        """Split gain of every cut from its left sums, -inf where ``ok`` is
+        False or a child is lighter than ``MIN_CHILD_WEIGHT``; overwrites
+        ``gl`` and ``hl``."""
+        # The in-place steps are the IEEE operations of
+        # gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent, cell by cell.
         gr = g_sum - gl
         hr = h_sum - hl
-        ok &= hl >= MIN_CHILD_WEIGHT
+        ok = (hl >= MIN_CHILD_WEIGHT) & ok
         ok &= hr >= MIN_CHILD_WEIGHT
         hl += L2
         hr += L2
@@ -259,17 +317,7 @@ class _TreeBuilder:
         gain += gr
         gain -= g_sum * g_sum / (h_sum + L2)
         np.copyto(gain, -np.inf, where=~ok)
-        cut = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
-        row_best = gain[np.arange(gain.shape[0]), cut]
-        wins = row_best > _GAIN_EPS  # False for NaN, as the strict compare was
-        if not wins.any():
-            return None
-        j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
-        lo, hi = self.f_t[j, order[j, cut[j]]], self.f_t[j, order[j, cut[j] + 1]]
-        thr = 0.5 * (lo + hi)
-        if thr >= hi:  # midpoint rounded up to the right value
-            thr = lo
-        return j, float(thr)
+        return gain
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -347,14 +395,19 @@ def fit_boosted_trees(
         # does not increase (runs at most a handful of times near
         # saturation, usually zero).
         for _ in range(40):
-            if _logloss(margin + delta, y) <= train_loss[-1]:
+            stepped = margin + delta
+            loss = _logloss(stepped, y)
+            if loss <= train_loss[-1]:
                 break
             delta *= 0.5
             tree.scale_values(0.5)
-        margin = margin + delta
+        else:  # 40 halvings and still worse: keep the last, smallest step
+            stepped = margin + delta
+            loss = _logloss(stepped, y)
+        margin = stepped
         margin_val = margin_val + tree.predict(f_val)
         trees.append(tree)
-        train_loss.append(_logloss(margin, y))
+        train_loss.append(loss)
         val_loss.append(_logloss(margin_val, yv))
         # Strict < keeps the first minimum, as np.argmin does.
         if val_loss[-1] < val_loss[best_round]:

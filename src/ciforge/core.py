@@ -351,6 +351,9 @@ def read_relations(path) -> list[Relation]:
         missing = [c for c in ("X", "Y", "label") if c not in (reader.fieldnames or ())]
         if missing:
             raise SchemaMismatch(f"relation file lacks column(s): {', '.join(missing)}")
+        repeated = sorted({name for name in reader.fieldnames if reader.fieldnames.count(name) > 1})
+        if repeated:
+            raise SchemaMismatch(f"duplicate column name(s) in the relation header: {', '.join(repeated)}")
         for i, row in enumerate(reader, start=1):
             short = [name for name in reader.fieldnames if row[name] is None]
             if short:

@@ -82,6 +82,29 @@ class TestBoostedTrees:
                 b.train_loss[i + 1] <= b.train_loss[i] + 1e-12 for i in range(len(b.train_loss) - 1)
             )
 
+    @pytest.mark.parametrize("uphill", [False, True], ids=["newton_steps", "every_step_uphill"])
+    def test_train_loss_is_the_loss_of_the_kept_trees(self, uphill, monkeypatch):
+        """train_loss[r] is the loss of the first r trees' margin, also when
+        40 halvings leave a step uphill and the smallest one is kept."""
+        f, y = blob_problem(n=400, seed=13)
+        canon = np.lexsort((y[:300], f[:300, 1], f[:300, 0]))  # the fit's own row order
+        f_tr, y_tr = f[:300][canon], y[:300][canon]
+        if uphill:
+            build = _TreeBuilder.build
+
+            def reversed_build(self, g, h):
+                tree, row_values = build(self, g, h)
+                tree.scale_values(-1.0)
+                return tree, -row_values
+
+            monkeypatch.setattr(_TreeBuilder, "build", reversed_build)
+        b = fit_boosted_trees(f_tr, y_tr, f[300:], y[300:], GbtConfig(rounds=5))
+        margin = np.zeros(300)
+        for r, tree in enumerate(b.trees, start=1):
+            margin = margin + tree.predict(f_tr)
+            assert b.train_loss[r] == classify._logloss(margin, y_tr)
+        assert (b.train_loss[-1] > b.train_loss[0]) == uphill
+
     def test_permutation_invariance(self):
         f, y = blob_problem(n=600, seed=5)
         rng = derive_rng(3, "perm")
@@ -400,7 +423,9 @@ def split_problems(draw, gradients=_GRADIENTS):
         p = 1.0 / (1.0 + np.exp(-rng.standard_normal(n)))
     elif gradient == "logistic_dyadic":  # exact sums: gains tie across cuts
         p = rng.choice([0.25, 0.5, 0.75], n)
-    if gradient.startswith("logistic"):
+    elif gradient == "saturated":  # g = h = 0 where p == y: with L2 = 0 a gain can be 0/0
+        p = np.where(rng.random(n) < 0.5, y, rng.choice([0.25, 0.5], n))
+    if gradient in ("logistic", "logistic_dyadic", "saturated"):
         g, h = p - y, p * (1.0 - p)
     elif gradient == "unit":  # squared-loss gradients: a unit hessian
         g, h = rng.standard_normal(n), np.ones(n)
@@ -455,6 +480,25 @@ class TestTreeBuilder:
         for rows in (f, unseen, f[:0]):
             assert np.array_equal(tree.predict(rows), reference_predict(tree, rows))
 
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems(gradients=("saturated",)))
+    def test_saturated_rows_match_per_feature_scan(self, problem):
+        """A NaN gain rules out its whole feature in both searches.  An
+        all-saturated leaf with L2 = 0 is 0/0, which both raise."""
+        f, g, h, consts = problem
+        with pytest.MonkeyPatch.context() as mp:
+            patch_consts(mp, consts)
+            try:
+                tree, row_values = _TreeBuilder(f).build(g, h)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    reference_build(f, g, h, consts)
+                return
+        with np.errstate(invalid="ignore"):  # the reference computes its NaN gains
+            ref = reference_build(f, g, h, consts)
+        assert_same_tree(tree, ref)
+        assert np.array_equal(row_values, reference_predict(tree, f))
+
     def test_builder_is_reused_across_rounds(self):
         """The presorted order is shared state: later builds must not see
         anything an earlier build left behind."""
@@ -494,6 +538,26 @@ class TestTreeBuilder:
                 assert_same_tree(tree, ref)
                 assert np.array_equal(row_values, reference_predict(tree, f))
                 assert tree.depth > 1
+
+    def test_one_hot_columns_match_per_feature_scan(self):
+        """Encoder-shaped data, every feature tied: only the cuts between
+        distinct values are scored, and deep nodes have every feature
+        constant."""
+        rng = derive_rng(32, "one-hot")
+        n = 2000
+        codes = rng.integers(0, 3, (n, 3))
+        f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-rng.standard_normal(27)[codes @ [9, 3, 1]]))).astype(np.float64)
+        builder = _TreeBuilder(f)
+        assert builder.tied.size == f.shape[1] == 9
+        margin = np.zeros(n)
+        for _ in range(3):  # a reused builder must not carry state between builds
+            p = 1.0 / (1.0 + np.exp(-margin))
+            g, h = p - y, p * (1.0 - p)
+            tree, row_values = builder.build(g, h)
+            assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
+            assert np.array_equal(row_values, reference_predict(tree, f))
+            margin += row_values
 
 
 class TestGoldenReports:

@@ -309,6 +309,18 @@ class TestRelations:
         assert stdout == ""
         assert "duplicate" in err and "u" in err
 
+    def test_duplicate_relation_header_name_is_an_error(self, tmp_path, capsys):
+        """A relation header that names a column twice would keep only the
+        last cell of it; it exits 2 instead."""
+        data = tmp_path / "table.csv"
+        data.write_text("u,v,w\n" + "\n".join(f"{i}.0,{i+1}.0,{i%7}.0" for i in range(70)) + "\n")
+        rel = tmp_path / "rel.csv"
+        rel.write_text("X,Y,Z,label,X\nu,v,,CI,w\n")
+        code, stdout, err = run_cli(capsys, "relations", "--data", str(data), "--relations", str(rel))
+        assert code == 2
+        assert stdout == ""
+        assert "duplicate column name(s) in the relation header: X" in err
+
     def test_empty_csv_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "table.csv"
         data.write_text("")
