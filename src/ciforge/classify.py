@@ -20,14 +20,20 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   a node's rows, so every cut of it lies between distinct values and only
   features with repeats gather their values to find the boundaries;
 * when every feature has repeats (one-hot data), few cuts lie between
-  distinct values, and a node scores only those: it returns at once if no
-  feature has one, cumsums g and h only for the features that do and only
-  up to the last of them, and computes the gain of the boundary cells
-  alone.  That is bit-identical to scoring every cell: a prefix of a cumsum
-  is the cumsum of the prefix, each gain is the same IEEE operations on the
-  same sums, one argmax over the cells in feature-major order is the first
-  maximum within and then across features, and a NaN gain still rules out
-  its whole feature;
+  distinct values, and the same few row sets come back round after round.
+  Each fit's builder keeps a memo keyed by the bytes of a node's ascending
+  rows: the node's layout (the sorted rows of its features up to their
+  last boundary, each boundary cell and its threshold) and the rows of the
+  children of every split taken there.  A remembered node only gathers and
+  cumsums g and h over that head and scores its boundary cells; a
+  remembered split skips the partition.  That is bit-identical to scoring
+  every cell: the layout is a pure function of the row set, a prefix of a
+  cumsum is the cumsum of the prefix, each gain is the same IEEE
+  operations on the same sums, one argmax over the cells in feature-major
+  order is the first maximum within and then across features, and a NaN
+  gain still rules out its whole feature.  The memo holds at most
+  ``MEMO_CAP`` index cells per cell of the presorted order; past that,
+  nodes are scored as new ones and not stored;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -66,6 +72,9 @@ MAX_DEPTH = 4
 LEARNING_RATE = 0.1
 L2 = 1.0
 MIN_CHILD_WEIGHT = 1.0
+#: A builder's node memo holds at most this many index cells per cell of its
+#: presorted order; past it, nodes are scored without being remembered.
+MEMO_CAP = 48
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +168,39 @@ class Tree:
         self.value = self.value * factor
 
 
+class _Layout:
+    """The cut layout of one node of an all-tied matrix: a pure function of
+    the node's rows, kept across boosting rounds in ``_TreeBuilder.memo``."""
+
+    __slots__ = ("head", "flat", "feature", "threshold", "children")
+
+    def __init__(self, order: np.ndarray, values: np.ndarray):
+        # order is the node's (d, m) sorted rows and values their feature values.
+        ok = values[:, :-1] != values[:, 1:]
+        feats = np.flatnonzero(ok.any(axis=1))
+        if feats.size < ok.shape[0]:
+            order, ok, values = order[feats], ok[feats], values[feats]
+        # Flat positions are feature-major, the order of the row-wise scan.
+        rows, cuts = np.divmod(np.flatnonzero(ok), ok.shape[1])
+        width = int(cuts.max()) + 1 if cuts.size else 0
+        #: Sorted rows of the features with a boundary, up to the last one.
+        self.head = order[:, :width].copy()
+        #: Each boundary cell's position in ``head.ravel()``.
+        self.flat = rows * width + cuts
+        self.feature = feats[rows]
+        lo, hi = values[rows, cuts], values[rows, cuts + 1]
+        thr = 0.5 * (lo + hi)
+        #: A midpoint rounded up to the right value falls back to the left one.
+        self.threshold = np.where(thr >= hi, lo, thr)
+        #: (feature, threshold) -> the children's row keys, once split there.
+        self.children: dict[tuple[int, float], tuple[bytes, bytes]] = {}
+
+    @property
+    def cells(self) -> int:
+        """Index cells held, as counted against ``MEMO_CAP``."""
+        return self.head.size + 3 * self.flat.size
+
+
 class _TreeBuilder:
     """Exact greedy split search over node-partitioned presorted indices."""
 
@@ -172,48 +214,17 @@ class _TreeBuilder:
         # rows, so every other feature has no tie in any node.
         ranked = np.take_along_axis(self.f_t, self.order, axis=1)
         self.tied = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=1))
+        # When every feature is tied, few row sets recur round after round:
+        # each one's layout is kept, keyed by the bytes of its ascending rows.
+        self.memo: dict[bytes, _Layout] | None = {} if self.tied.size == f.shape[1] else None
+        self.memo_cells = 0
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
-        d = self.f_t.shape[0]
-        feature, threshold, left, right, value = [], [], [], [], []
+        nodes: list[list] = []
         row_values = np.empty(self.f_t.shape[1])
-
-        def add_node(j: int, thr: float, v: float) -> int:
-            feature.append(j)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            value.append(v)
-            return len(feature) - 1
-
-        def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-            # rows stay ascending, so a node sum adds its operands in row order.
-            g_sum = float(g[rows].sum())
-            h_sum = float(h[rows].sum())
-            split = None if depth >= MAX_DEPTH else self._best_split(order, g, h, g_sum, h_sum)
-            if split is None:
-                v = -g_sum / (h_sum + L2) * LEARNING_RATE
-                row_values[rows] = v
-                return add_node(-1, 0.0, v)
-            j, thr = split
-            node = add_node(j, thr, 0.0)
-            go_left = self.f_t[j] <= thr
-            # A stable partition keeps each feature's sorted order, and every
-            # order row holds the same node rows, so each child is rectangular.
-            # (np.compress is much faster than boolean indexing here.)
-            rows_left = go_left[rows]
-            order_left = go_left[order].ravel()
-            n_left = int(np.count_nonzero(rows_left))
-            left[node] = grow(
-                np.compress(rows_left, rows), np.compress(order_left, order).reshape(d, n_left), depth + 1
-            )
-            right[node] = grow(
-                np.compress(~rows_left, rows), np.compress(~order_left, order).reshape(d, -1), depth + 1
-            )
-            return node
-
-        grow(np.arange(self.f_t.shape[1]), self.order, 0)
+        self._grow(np.arange(self.f_t.shape[1]), None, self.order, 0, g, h, nodes, row_values)
+        feature, threshold, left, right, value = zip(*nodes)
         tree = Tree(
             np.asarray(feature, dtype=np.int32),
             np.asarray(threshold),
@@ -223,14 +234,89 @@ class _TreeBuilder:
         )
         return tree, row_values
 
+    def _grow(self, rows, key, order, depth, g, h, nodes, row_values) -> int:
+        """Append the subtree of one node to ``nodes`` (each entry is feature,
+        threshold, left, right, value) and return its index.
+
+        ``key`` is ``rows.tobytes()`` when the parent's remembered children
+        hold it, else None.  ``order`` is the node's rows in every feature's sorted order,
+        (d, m), or None where the parent did not partition its own: at
+        ``MAX_DEPTH``, which needs none, and under a remembered node.
+        """
+        # rows stay ascending, so a node sum adds its operands in row order.
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
+        split = kept = None
+        if depth < MAX_DEPTH and rows.size >= 2:
+            if self.memo is None:
+                split = self._best_split(order, g, h, g_sum, h_sum)
+            else:
+                if key is None:
+                    key, key_cells = rows.tobytes(), rows.size
+                else:  # already counted with the parent's children
+                    key_cells = 0
+                kept = self.memo.get(key)
+                if kept is None:
+                    if order is None:  # under a remembered node, which skipped the partition
+                        order = self._order_of(rows)
+                    layout = _Layout(order, self.f_t.ravel()[order + self.offsets])
+                    if self._reserve(key_cells + layout.cells):
+                        self.memo[key] = kept = layout
+                else:
+                    layout = kept
+                split = self._boundary_split(layout, g, h, g_sum, h_sum)
+        node = len(nodes)
+        if split is None:
+            v = -g_sum / (h_sum + L2) * LEARNING_RATE
+            row_values[rows] = v
+            nodes.append([-1, 0.0, -1, -1, v])
+            return node
+        j, thr = split
+        nodes.append([j, thr, -1, -1, 0.0])
+        known = None if kept is None else kept.children.get(split)
+        if known is not None:
+            key_left, key_right = known
+            rows_left, rows_right = np.frombuffer(key_left, np.intp), np.frombuffer(key_right, np.intp)
+            order_left = order_right = None
+        else:
+            go_left = self.f_t[j] <= thr
+            # A stable partition keeps each feature's sorted order, and every
+            # order row holds the same node rows, so each child is rectangular.
+            # (np.compress is much faster than boolean indexing here.)
+            left_mask = go_left[rows]
+            rows_left, rows_right = np.compress(left_mask, rows), np.compress(~left_mask, rows)
+            order_left = order_right = None
+            if order is not None and depth + 1 < MAX_DEPTH:  # leaves need only their rows
+                order_mask = go_left[order].ravel()
+                order_left = np.compress(order_mask, order).reshape(order.shape[0], rows_left.size)
+                order_right = np.compress(~order_mask, order).reshape(order.shape[0], -1)
+            key_left = key_right = None
+            if kept is not None and self._reserve(rows.size):
+                key_left, key_right = rows_left.tobytes(), rows_right.tobytes()
+                kept.children[split] = (key_left, key_right)
+        nodes[node][2] = self._grow(rows_left, key_left, order_left, depth + 1, g, h, nodes, row_values)
+        nodes[node][3] = self._grow(rows_right, key_right, order_right, depth + 1, g, h, nodes, row_values)
+        return node
+
+    def _order_of(self, rows: np.ndarray) -> np.ndarray:
+        """The (d, m) sorted order of a node's rows: the shared order
+        filtered on membership, which is what the partitions leave."""
+        member = np.zeros(self.f_t.shape[1], dtype=bool)
+        member[rows] = True
+        return np.compress(member[self.order].ravel(), self.order).reshape(self.order.shape[0], -1)
+
+    def _reserve(self, cells: int) -> bool:
+        """Count ``cells`` more index cells in the memo and return True, or
+        return False if that would pass ``MEMO_CAP`` cells per cell of the
+        shared order."""
+        if self.memo_cells + cells > MEMO_CAP * self.order.size:
+            return False
+        self.memo_cells += cells
+        return True
+
     def _best_split(self, order, g, h, g_sum, h_sum):
         """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
-        if order.shape[1] < 2:
-            return None
-        if self.tied.size == order.shape[0]:
-            best = self._best_boundary_cut(order, g, h, g_sum, h_sum)
-        else:
-            best = self._best_cut(order, g, h, g_sum, h_sum)
+        best = self._best_cut(order, g, h, g_sum, h_sum)
         if best is None:
             return None
         j, k = best
@@ -265,35 +351,27 @@ class _TreeBuilder:
         j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
         return j, int(cut[j])
 
-    def _best_boundary_cut(self, order, g, h, g_sum, h_sum):
-        """``_best_cut`` for a matrix whose every feature has ties: it scores
-        only the cuts between distinct values, which are few there."""
-        v = self.f_t.ravel()[order + self.offsets]
-        ok = v[:, :-1] != v[:, 1:]
-        feats = np.flatnonzero(ok.any(axis=1))
-        if feats.size == 0:  # every feature constant in the node
+    def _boundary_split(self, layout, g, h, g_sum, h_sum):
+        """``_best_split`` of a node of an all-tied matrix, from its layout:
+        only the cuts between distinct values are scored."""
+        if layout.flat.size == 0:  # every feature constant in the node
             return None
-        if feats.size < ok.shape[0]:
-            order, ok = order[feats], ok[feats]
-        # Flat positions are feature-major, the order of the row-wise scan.
-        rows, cuts = np.divmod(np.flatnonzero(ok), ok.shape[1])
         # The sequential cumsums of _best_cut, up to the last boundary only:
         # a prefix of a cumsum is the cumsum of the prefix.
-        head = order[:, : cuts.max() + 1]
-        gl = g[head]
+        gl = g[layout.head]
         np.cumsum(gl, axis=1, out=gl)
-        hl = h[head]
+        hl = h[layout.head]
         np.cumsum(hl, axis=1, out=hl)
-        gain = self._gain(gl[rows, cuts], hl[rows, cuts], True, g_sum, h_sum)
+        gain = self._gain(gl.ravel()[layout.flat], hl.ravel()[layout.flat], True, g_sum, h_sum)
         nan = np.isnan(gain)
         if nan.any():  # a NaN gain rules out its whole feature, as in _best_cut
-            np.copyto(gain, -np.inf, where=np.isin(rows, rows[nan]))
+            np.copyto(gain, -np.inf, where=np.isin(layout.feature, layout.feature[nan]))
         # The first max in feature-major order is the first max of the first
         # feature whose best gain is the largest: both tie-breaks of _best_cut.
         k = int(np.argmax(gain))
         if not gain[k] > _GAIN_EPS:
             return None
-        return int(feats[rows[k]]), int(cuts[k])
+        return int(layout.feature[k]), float(layout.threshold[k])
 
     @staticmethod
     def _gain(gl, hl, ok, g_sum, h_sum):

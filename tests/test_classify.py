@@ -1,7 +1,9 @@
 """Boosted trees and error measurement."""
 
+import gc
 import hashlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -558,6 +560,97 @@ class TestTreeBuilder:
             assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
             assert np.array_equal(row_values, reference_predict(tree, f))
             margin += row_values
+
+
+    @pytest.mark.parametrize("kind", ["continuous", "one_hot"])
+    def test_build_leaves_no_reference_cycle(self, kind):
+        """A used builder, and the g, h and memo it holds on to, is freed by
+        reference counting alone, without waiting for the cyclic GC."""
+        rng = derive_rng(34, "cycle")
+        f = np.column_stack([make_column(kind, 200, rng) for _ in range(3)])
+        g, h = rng.standard_normal(200), np.ones(200)
+        gc.disable()
+        try:
+            builder = _TreeBuilder(f)
+            assert builder.build(g, h)[0].depth > 0
+            alive = weakref.ref(builder)
+            del builder
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    # Each round: gradient kind, and L2, MIN_CHILD_WEIGHT and MAX_DEPTH.  The
+    # logistic rounds boost, so their trees revisit earlier row sets.
+    _ROUNDS = (
+        ("logistic", 1.0, 1.0, 4),
+        ("logistic", 1.0, 1.0, 4),
+        ("unit", 0.0, 0.0, 4),
+        ("logistic", 0.0, 3.0, 2),
+        ("saturated", 1.0, 0.0, 4),
+        ("unit_integer", 1.0, 1.0, 3),
+        ("logistic", 1.0, 1.0, 4),
+    )
+
+    @pytest.mark.parametrize("levels", [3, 40], ids=["one_hot", "ordinal"])
+    def test_remembered_layouts_match_per_feature_scan(self, levels, monkeypatch):
+        """One builder reused for many rounds on an all-tied matrix gives the
+        trees of the reference and of a fresh builder, round after round.
+        Ordinal columns (more levels than ONE_HOT_CAP) cut one feature at
+        several thresholds, so a node's children depend on both."""
+        rng = derive_rng(35, f"memo-{levels}")
+        n = 1200
+        codes = rng.integers(0, levels, (n, 3))
+        f = FeatureEncoder((Column("a", "categorical", levels),) * 3).transform(codes)
+        effect = rng.standard_normal((3, levels))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-effect[np.arange(3), codes].sum(axis=1)))).astype(np.float64)
+        builder = _TreeBuilder(f)
+        assert builder.memo is not None
+        margin = np.zeros(n)
+        splits = 0
+        for kind, l2, min_child_weight, max_depth in self._ROUNDS * 2:
+            consts = {**DEFAULT_CONSTS, "L2": l2, "MIN_CHILD_WEIGHT": min_child_weight, "MAX_DEPTH": max_depth}
+            patch_consts(monkeypatch, consts)
+            p = 1.0 / (1.0 + np.exp(-margin))
+            if kind == "logistic":
+                g, h = p - y, p * (1.0 - p)
+            elif kind == "saturated":  # g = h = 0 on half the rows
+                q = np.where(rng.random(n) < 0.5, y, rng.choice([0.25, 0.5], n))
+                g, h = q - y, q * (1.0 - q)
+            elif kind == "unit":
+                g, h = rng.standard_normal(n), np.ones(n)
+            else:
+                g, h = rng.integers(-2, 3, n).astype(np.float64), np.ones(n)
+            tree, row_values = builder.build(g, h)
+            assert_same_tree(tree, reference_build(f, g, h, consts))
+            fresh, fresh_values = _TreeBuilder(f).build(g, h)
+            assert_same_tree(tree, fresh)
+            assert np.array_equal(row_values, fresh_values)
+            if kind == "logistic":
+                margin += row_values
+            splits += int((tree.feature >= 0).sum())
+        assert len(builder.memo) < splits  # nodes were scored from remembered layouts
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        """Value-rich tied columns give new row sets every round: the memo
+        stops at MEMO_CAP cells per cell of the order, and the trees still
+        match the reference and an uncapped memo's."""
+        rng = derive_rng(36, "memo-cap")
+        n = 600
+        f = np.round(rng.standard_normal((n, 6)), 2)
+        capped, uncapped = _TreeBuilder(f), _TreeBuilder(f)
+        assert capped.memo is not None
+        cap = classify.MEMO_CAP * capped.order.size
+        for _ in range(25):
+            g, h = rng.standard_normal(n), np.ones(n)
+            tree, row_values = capped.build(g, h)
+            assert capped.memo_cells <= cap
+            assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
+            with monkeypatch.context() as mp:
+                mp.setattr(classify, "MEMO_CAP", 10**9)
+                free, free_values = uncapped.build(g, h)
+            assert_same_tree(tree, free)
+            assert np.array_equal(row_values, free_values)
+        assert uncapped.memo_cells > cap >= capped.memo_cells
 
 
 class TestGoldenReports:
