@@ -34,6 +34,20 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   gain still rules out its whole feature.  The memo holds at most
   ``MEMO_CAP`` index cells per cell of the presorted order; past that,
   nodes are scored as new ones and not stored;
+* a node with at most ``SCALAR_CELLS`` boundary cells (every one-hot node)
+  scores them in a Python loop, which costs less than numpy's fixed cost
+  per call on a few values.  It is bit-identical to ``_gain``: Python
+  floats are IEEE doubles, and each gain is the same operations in the same
+  order; a zero denominator, which Python refuses, is divided by numpy
+  instead, so 0/0 is still NaN and x/0 inf;
+* rows with equal features fall in the same leaf of every tree, so they
+  share a margin.  Each round evaluates the sigmoid, the hessian, the
+  margin-only part of the loss, the backoff and the validation prediction
+  once per distinct row, and expands them per row with one gather.  That
+  is bit-identical to the per-row loop: the sigmoid and the loss are
+  elementwise, so a group's value is each of its rows' value, and the
+  gradient, the ``m*y`` term and the loss's sum stay per row, adding the
+  same operands in the same order;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -75,6 +89,9 @@ MIN_CHILD_WEIGHT = 1.0
 #: A builder's node memo holds at most this many index cells per cell of its
 #: presorted order; past it, nodes are scored without being remembered.
 MEMO_CAP = 48
+#: A node with at most this many boundary cells scores them in Python floats;
+#: past it, numpy's fixed cost per call is the cheaper one.
+SCALAR_CELLS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +379,21 @@ class _TreeBuilder:
         np.cumsum(gl, axis=1, out=gl)
         hl = h[layout.head]
         np.cumsum(hl, axis=1, out=hl)
-        gain = self._gain(gl.ravel()[layout.flat], hl.ravel()[layout.flat], True, g_sum, h_sum)
-        nan = np.isnan(gain)
-        if nan.any():  # a NaN gain rules out its whole feature, as in _best_cut
-            np.copyto(gain, -np.inf, where=np.isin(layout.feature, layout.feature[nan]))
-        # The first max in feature-major order is the first max of the first
-        # feature whose best gain is the largest: both tie-breaks of _best_cut.
-        k = int(np.argmax(gain))
-        if not gain[k] > _GAIN_EPS:
-            return None
+        gl, hl = gl.ravel()[layout.flat], hl.ravel()[layout.flat]
+        if layout.flat.size <= SCALAR_CELLS:
+            k = _best_cell(gl.tolist(), hl.tolist(), layout.feature, g_sum, h_sum)
+            if k < 0:
+                return None
+        else:
+            gain = self._gain(gl, hl, True, g_sum, h_sum)
+            nan = np.isnan(gain)
+            if nan.any():  # a NaN gain rules out its whole feature, as in _best_cut
+                np.copyto(gain, -np.inf, where=np.isin(layout.feature, layout.feature[nan]))
+            # The first max in feature-major order is the first max of the first
+            # feature whose best gain is the largest: both tie-breaks of _best_cut.
+            k = int(np.argmax(gain))
+            if not gain[k] > _GAIN_EPS:
+                return None
         return int(layout.feature[k]), float(layout.threshold[k])
 
     @staticmethod
@@ -398,6 +421,41 @@ class _TreeBuilder:
         return gain
 
 
+def _best_cell(gl: list, hl: list, feature: np.ndarray, g_sum: float, h_sum: float) -> int:
+    """``_boundary_split``'s choice among a few boundary cells, in Python
+    floats: the index of the first cell with the largest gain above
+    ``_GAIN_EPS``, or -1.  ``gl`` and ``hl`` are the cells' left sums and
+    ``feature`` their features, in feature-major order."""
+    # Each gain is _gain's IEEE operations in _gain's order.
+    l2, min_child_weight = L2, MIN_CHILD_WEIGHT
+    parent = g_sum * g_sum / (h_sum + l2)
+    gains, nan = [], []
+    for k, (gl_k, hl_k) in enumerate(zip(gl, hl)):
+        gr_k = g_sum - gl_k
+        hr_k = h_sum - hl_k
+        if not (hl_k >= min_child_weight and hr_k >= min_child_weight):
+            gains.append(-np.inf)
+            continue
+        try:
+            gain = gl_k * gl_k / (hl_k + l2) + gr_k * gr_k / (hr_k + l2) - parent
+        except ZeroDivisionError:  # numpy's IEEE quotient instead: 0/0 is NaN, x/0 inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = float(np.float64(gl_k * gl_k) / (hl_k + l2) + np.float64(gr_k * gr_k) / (hr_k + l2) - parent)
+        if gain != gain:
+            nan.append(k)
+        gains.append(gain)
+    if nan:  # a NaN gain rules out its whole feature, as in _best_cut
+        ruled_out = set(feature[nan].tolist())
+        gains = [-np.inf if j in ruled_out else gain for j, gain in zip(feature.tolist(), gains)]
+    # The first max in feature-major order is the first max of the first
+    # feature whose best gain is the largest: both tie-breaks of _best_cut.
+    best, best_k = _GAIN_EPS, -1
+    for k, gain in enumerate(gains):
+        if gain > best:
+            best, best_k = gain, k
+    return best_k
+
+
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow on either sign of ``v``."""
     out = np.empty_like(v)
@@ -408,10 +466,33 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy on raw margins: log(1 + exp(-|m|)) + max(m, 0) - m*y per row."""
-    per = np.logaddexp(0.0, -np.abs(margin)) + np.maximum(margin, 0.0) - margin * y
+def _logloss(margin: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None) -> float:
+    """Mean binary cross-entropy on raw margins: log(1 + exp(-|m|)) + max(m, 0) - m*y per row.
+
+    With ``rows``, ``margin`` holds one value per group of equal rows and row
+    i's margin is ``margin[rows[i]]``; only the terms that need y are per row.
+    """
+    soft = np.logaddexp(0.0, -np.abs(margin)) + np.maximum(margin, 0.0)
+    if rows is not None:
+        soft, margin = soft[rows], margin[rows]
+    per = soft - margin * y
     return float(np.sum(per) / margin.shape[0])
+
+
+def _canonical_order(f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row order by features, then label: equal feature rows end up adjacent."""
+    return np.lexsort((y,) + tuple(f[:, j] for j in range(f.shape[1] - 1, -1, -1)))
+
+
+def _row_groups(f: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(one row of each group of equal rows of ``f``, each row's group), where
+    ``order`` lists the rows with equal ones adjacent."""
+    ranked = f[order]
+    new = np.ones(f.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(f.shape[0], dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
 @dataclass
@@ -454,39 +535,45 @@ def fit_boosted_trees(
         raise SingleClass("training labels contain a single class")
     # Canonical row order (features, then label) makes every accumulation
     # order-independent, so training is bit-identical under row permutation.
-    canon = np.lexsort((y,) + tuple(f_train[:, j] for j in range(f_train.shape[1] - 1, -1, -1)))
+    canon = _canonical_order(f_train, y)
     f_train = f_train[canon]
     y = y[canon]
     builder = _TreeBuilder(f_train)
-    margin = np.zeros(f_train.shape[0])
-    margin_val = np.zeros(f_val.shape[0])
-    train_loss = [_logloss(margin, y)]
-    val_loss = [_logloss(margin_val, yv)]
+    # Equal feature rows share a leaf in every tree, so they share a margin:
+    # each round evaluates one margin per group and expands it per row.
+    first, rows = _row_groups(f_train, np.arange(f_train.shape[0]))
+    first_val, rows_val = _row_groups(f_val, _canonical_order(f_val, yv))
+    f_val = f_val[first_val]
+    margin = np.zeros(first.size)
+    margin_val = np.zeros(first_val.size)
+    train_loss = [_logloss(margin, y, rows)]
+    val_loss = [_logloss(margin_val, yv, rows_val)]
     trees: list[Tree] = []
     best_round = 0
     for _ in range(config.rounds):
         p = _sigmoid(margin)
-        g = p - y
-        h = p * (1.0 - p)
-        tree, delta = builder.build(g, h)
+        g = p[rows] - y
+        h = (p * (1.0 - p))[rows]
+        tree, row_values = builder.build(g, h)
+        delta = row_values[first]
         # Deterministic backoff: halve the step until the training loss
         # does not increase (runs at most a handful of times near
         # saturation, usually zero).
         for _ in range(40):
             stepped = margin + delta
-            loss = _logloss(stepped, y)
+            loss = _logloss(stepped, y, rows)
             if loss <= train_loss[-1]:
                 break
             delta *= 0.5
             tree.scale_values(0.5)
         else:  # 40 halvings and still worse: keep the last, smallest step
             stepped = margin + delta
-            loss = _logloss(stepped, y)
+            loss = _logloss(stepped, y, rows)
         margin = stepped
         margin_val = margin_val + tree.predict(f_val)
         trees.append(tree)
         train_loss.append(loss)
-        val_loss.append(_logloss(margin_val, yv))
+        val_loss.append(_logloss(margin_val, yv, rows_val))
         # Strict < keeps the first minimum, as np.argmin does.
         if val_loss[-1] < val_loss[best_round]:
             best_round = len(val_loss) - 1

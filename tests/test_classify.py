@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ciforge import classify
@@ -46,6 +46,41 @@ def as_labeled(f, y):
     cols = tuple(Column(f"x_{j}") for j in range(f.shape[1] - 1))
     ds = Dataset(cols, (Column("y_0"),), (), f)
     return LabeledDataset(ds, y.astype(np.int8))
+
+
+def reference_boost(f_train, y_train, f_val, y_val, rounds):
+    """The boosting loop with one margin per row, training and validation
+    alike: (trees, best_round, train_loss, val_loss)."""
+    y, yv = np.asarray(y_train, dtype=np.float64), np.asarray(y_val, dtype=np.float64)
+    canon = np.lexsort((y,) + tuple(f_train[:, j] for j in range(f_train.shape[1] - 1, -1, -1)))
+    f_train, y = f_train[canon], y[canon]
+    builder = _TreeBuilder(f_train)
+    margin, margin_val = np.zeros(f_train.shape[0]), np.zeros(f_val.shape[0])
+    train_loss, val_loss = [classify._logloss(margin, y)], [classify._logloss(margin_val, yv)]
+    trees, best_round = [], 0
+    for _ in range(rounds):
+        p = classify._sigmoid(margin)
+        tree, delta = builder.build(p - y, p * (1.0 - p))
+        for _ in range(40):
+            stepped = margin + delta
+            loss = classify._logloss(stepped, y)
+            if loss <= train_loss[-1]:
+                break
+            delta *= 0.5
+            tree.scale_values(0.5)
+        else:
+            stepped = margin + delta
+            loss = classify._logloss(stepped, y)
+        margin = stepped
+        margin_val = margin_val + tree.predict(f_val)
+        trees.append(tree)
+        train_loss.append(loss)
+        val_loss.append(classify._logloss(margin_val, yv))
+        if val_loss[-1] < val_loss[best_round]:
+            best_round = len(val_loss) - 1
+        elif len(val_loss) - 1 - best_round >= classify.PATIENCE:
+            break
+    return trees, best_round, train_loss, val_loss
 
 
 class TestBoostedTrees:
@@ -106,6 +141,42 @@ class TestBoostedTrees:
             margin = margin + tree.predict(f_tr)
             assert b.train_loss[r] == classify._logloss(margin, y_tr)
         assert (b.train_loss[-1] > b.train_loss[0]) == uphill
+
+    @pytest.mark.parametrize("case", ["one_hot", "continuous", "signed_zeros", "every_step_uphill"])
+    def test_distinct_rows_match_the_per_row_loop(self, case, monkeypatch):
+        """One margin per distinct row gives the trees, best_round and
+        losses of one margin per row, bit for bit."""
+        if case == "continuous":  # no repeated row: every group is one row
+            f, y = blob_problem(n=900, seed=41, d=3)
+        else:  # three one-hot 3-level columns: at most 27 distinct rows
+            rng = derive_rng(42, "distinct-rows")
+            codes = rng.integers(0, 3, (900, 3))
+            f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
+            y = (rng.random(900) < 1.0 / (1.0 + np.exp(-rng.standard_normal(27)[codes @ [9, 3, 1]]))).astype(np.float64)
+        if case == "signed_zeros":  # -0.0 == 0.0: the rows group, and share every leaf
+            rng = derive_rng(43, "signed-zeros")
+            f[(f == 0.0) & (rng.random(f.shape) < 0.5)] = -0.0
+            assert np.signbit(f[:600]).any() and np.signbit(f[600:]).any()
+        if case == "every_step_uphill":
+            build = _TreeBuilder.build
+
+            def reversed_build(self, g, h):
+                tree, row_values = build(self, g, h)
+                tree.scale_values(-1.0)
+                return tree, -row_values
+
+            monkeypatch.setattr(_TreeBuilder, "build", reversed_build)
+        assert (np.unique(f, axis=0).shape[0] == f.shape[0]) == (case == "continuous")
+        rounds = 8 if case == "every_step_uphill" else 60
+        fit = fit_boosted_trees(f[:600], y[:600], f[600:], y[600:], GbtConfig(rounds=rounds))
+        trees, best_round, train_loss, val_loss = reference_boost(f[:600], y[:600], f[600:], y[600:], rounds)
+        assert fit.best_round == best_round
+        assert fit.train_loss == train_loss and fit.val_loss == val_loss
+        assert len(fit.trees) == len(trees)
+        for a, b in zip(fit.trees, trees):
+            assert_same_tree(a, b)
+        if case == "every_step_uphill":
+            assert train_loss[-1] > train_loss[0]
 
     def test_permutation_invariance(self):
         f, y = blob_problem(n=600, seed=5)
@@ -497,6 +568,36 @@ class TestTreeBuilder:
                     reference_build(f, g, h, consts)
                 return
         with np.errstate(invalid="ignore"):  # the reference computes its NaN gains
+            ref = reference_build(f, g, h, consts)
+        assert_same_tree(tree, ref)
+        assert np.array_equal(row_values, reference_predict(tree, f))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        split_problems(gradients=_GRADIENTS + ("saturated",)),
+        st.sampled_from((0, 10**9)),
+        st.booleans(),
+    )
+    def test_scalar_boundary_scoring_matches_per_feature_scan(self, problem, cutoff, zero_penalties):
+        """Boundary cells scored in Python floats (a cutoff above every
+        layout) or by ``_gain`` (cutoff 0) give the reference's tree.  With
+        L2 = MIN_CHILD_WEIGHT = 0 a gain can be 0/0 or x/0, which must be
+        NaN or inf, as in numpy, and a 0/0 leaf raises in both searches."""
+        f, g, h, consts = problem
+        if zero_penalties:
+            consts = {**consts, "L2": 0, "MIN_CHILD_WEIGHT": 0}
+        builder = _TreeBuilder(f)
+        assume(builder.memo is not None)  # boundary scoring: every feature tied
+        with pytest.MonkeyPatch.context() as mp:
+            patch_consts(mp, consts)
+            mp.setattr(classify, "SCALAR_CELLS", cutoff)
+            try:
+                tree, row_values = builder.build(g, h)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    reference_build(f, g, h, consts)
+                return
+        with np.errstate(divide="ignore", invalid="ignore"):  # the reference computes its NaN and inf gains
             ref = reference_build(f, g, h, consts)
         assert_same_tree(tree, ref)
         assert np.array_equal(row_values, reference_predict(tree, f))

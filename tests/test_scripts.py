@@ -43,7 +43,7 @@ def test_bench_split_kernel(capsys):
     script = load_script("bench_split_kernel")
     assert script.main(["--repeats", "1", "--scale", "0.02", "--rounds", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report["workloads"]) == {"classifier_continuous", "classifier_one_hot"}
+    assert set(report["workloads"]) == {"classifier_continuous", "classifier_one_hot", "classifier_rounded"}
     cont = report["workloads"]["classifier_continuous"]
     assert cont["shape"] == [20, 22] and cont["trees"] == 2 and len(cont["runs_s"]) == 1
     assert report["workloads"]["classifier_one_hot"]["shape"] == [40, 9]
