@@ -1,20 +1,20 @@
-"""Benchmark harness: dataset sweeps, ROC-AUC, and the relation driver.
+"""Sweep runner, ROC-AUC, and the relation driver.
 
-A sweep generates labeled H0/H1 datasets, runs the conditional-independence
-test on each, and scores how well the p-values rank dependent datasets
-below independent ones.  Lower p-value means stronger evidence of
-dependence, so the AUC is computed on -p against the NOTCI=1 labels.
-
-The relation driver covers user-supplied real data: one wide CSV of named
-columns plus a relation file whose rows each name an (X, Y, Z-set, label)
-test to run on the projected columns.
+A sweep is a list of cases: the fields that name a row, a zero-argument
+dataset maker and the ``TestConfig`` to test it with.  ``run_cases`` tests
+them and returns one row per case with the same report fields; ``summarize``
+gives a group of rows' rejections, mean H0 ``e1`` and p-value ROC-AUC (on
+-p against NOTCI=1, since a lower p-value means stronger evidence of
+dependence).  ``run_benchmark`` sweeps post-nonlinear data; ``run_relations``
+runs one case per row of a relation file, an (X, Y, Z-set, label) test on
+the columns of one wide CSV.
 """
-
-from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,67 @@ def roc_auc(scores, labels) -> float:
 
 
 @dataclass(frozen=True)
+class Case:
+    """One test of a sweep; ``make`` must pickle to run in worker processes."""
+
+    fields: dict
+    make: Callable[[], Dataset]
+    tester: TestConfig
+
+
+def _require_parallel(parallel) -> int:
+    """Return the worker-process count, an integer of at least 1."""
+    if require_number("parallel", parallel, integer=True) < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    return parallel
+
+
+def _run_case(case: Case) -> dict:
+    ds = case.make()
+    t0 = time.perf_counter()
+    rep = ci_test(ds, case.tester)
+    return {
+        **case.fields,
+        "decision": rep.decision,
+        "p_value": rep.p_value,
+        "gap": rep.gap,
+        "e1": rep.e1,
+        "e2": rep.e2,
+        "wall_clock_s": time.perf_counter() - t0,
+    }
+
+
+def run_cases(cases: list[Case], parallel: int = 1) -> list[dict]:
+    """One row per case, in case order; ``parallel`` > 1 runs them in worker processes."""
+    if _require_parallel(parallel) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(_run_case, cases))
+    return [_run_case(c) for c in cases]
+
+
+def summarize(rows) -> dict:
+    """A group of rows' rejections, mean H0 ``e1`` and p-value ROC-AUC (None for one class)."""
+    h0 = [r for r in rows if r["truth"] == "CI"]
+    h1 = [r for r in rows if r["truth"] == "NOTCI"]
+    scores = np.array([-r["p_value"] for r in rows])
+    labels = np.array([1 if r["truth"] == "NOTCI" else 0 for r in rows])
+    try:
+        auc = roc_auc(scores, labels)
+    except SingleClass:
+        auc = None
+    return {
+        "n_h0": len(h0),
+        "h0_reject": sum(r["decision"] == "H1" for r in h0),
+        "n_h1": len(h1),
+        "h1_reject": sum(r["decision"] == "H1" for r in h1),
+        "mean_h0_e1": sum(r["e1"] for r in h0) / len(h0) if h0 else None,
+        "roc_auc": auc,
+    }
+
+
+@dataclass(frozen=True)
 class BenchmarkConfig:
     """A post-nonlinear sweep: n_h0 independent + n_h1 dependent datasets,
     each generated and tested with child seeds of ``tester.seed``."""
@@ -74,14 +135,13 @@ class BenchmarkConfig:
     parallel: int = 1
 
     def __post_init__(self):
-        for name in ("n_h0", "n_h1", "n", "d_z", "parallel"):
+        for name in ("n_h0", "n_h1", "n", "d_z"):
             require_number(name, getattr(self, name), integer=True)
         for name in ("a_xy", "noise_var"):
             require_number(name, getattr(self, name))
         if self.n_h0 < 0 or self.n_h1 < 0 or self.n_h0 + self.n_h1 < 2:
             raise ValueError("need at least 2 datasets")
-        if self.parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {self.parallel}")
+        _require_parallel(self.parallel)
 
 
 @dataclass(frozen=True)
@@ -100,51 +160,18 @@ class BenchmarkReport:
         return json.dumps(self.to_dict(include_wall_clock), sort_keys=True)
 
 
-def _bench_row(args) -> dict:
-    i, ci, cfg = args
-    pnl = PostNonlinearConfig(
-        d_z=cfg.d_z,
-        n=cfg.n,
-        ci=ci,
-        a_xy=cfg.a_xy,
-        noise_var=cfg.noise_var,
-        seed=child_seed(cfg.tester.seed, f"bench-data-{i}"),
-    )
-    ds = gen_postnonlinear(pnl)
-    tester = replace(cfg.tester, seed=child_seed(cfg.tester.seed, f"bench-test-{i}"))
-    t0 = time.perf_counter()
-    rep = ci_test(ds, tester)
-    return {
-        "dataset_id": i,
-        "truth": "CI" if ci else "NOTCI",
-        "p_value": rep.p_value,
-        "gap": rep.gap,
-        "decision": rep.decision,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-
-
-def _auc_or_none(rows) -> float | None:
-    scores = np.array([-r["p_value"] for r in rows])
-    labels = np.array([1 if r["truth"] == "NOTCI" else 0 for r in rows])
-    try:
-        return roc_auc(scores, labels)
-    except SingleClass:
-        return None
-
-
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     """Generate, test, and score a full sweep; deterministic given the seed."""
-    jobs = [(i, i < config.n_h0, config) for i in range(config.n_h0 + config.n_h1)]
-    if config.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            rows = list(pool.map(_bench_row, jobs))
-    else:
-        rows = [_bench_row(j) for j in jobs]
-    cfg_echo = asdict(config)
-    return BenchmarkReport(rows=tuple(rows), roc_auc=_auc_or_none(rows), config=cfg_echo)
+    base = PostNonlinearConfig(d_z=config.d_z, n=config.n, ci=True, a_xy=config.a_xy, noise_var=config.noise_var)
+    cases = []
+    for i in range(config.n_h0 + config.n_h1):
+        ci = i < config.n_h0
+        pnl = replace(base, ci=ci, seed=child_seed(config.tester.seed, f"bench-data-{i}"))
+        fields = {"dataset_id": i, "truth": "CI" if ci else "NOTCI"}
+        tester = replace(config.tester, seed=child_seed(config.tester.seed, f"bench-test-{i}"))
+        cases.append(Case(fields, partial(gen_postnonlinear, pnl), tester))
+    rows = run_cases(cases, config.parallel)
+    return BenchmarkReport(rows=tuple(rows), roc_auc=summarize(rows)["roc_auc"], config=asdict(config))
 
 
 def project_relation(names, matrix: np.ndarray, cols: dict, rel: Relation) -> Dataset:
@@ -165,24 +192,17 @@ def run_relations(
     names, matrix: np.ndarray, cols: dict, relations: list[Relation], tester: TestConfig
 ) -> BenchmarkReport:
     """Run the test on every relation row, seeded from ``tester.seed``, and score against its labels."""
-    rows = []
-    for i, rel in enumerate(relations):
-        ds = project_relation(names, matrix, cols, rel)
-        t0 = time.perf_counter()
-        rep = ci_test(ds, replace(tester, seed=child_seed(tester.seed, f"relation-{i}")))
-        rows.append(
-            {
-                "dataset_id": i,
-                "relation": {"x": rel.x, "y": rel.y, "z": list(rel.z)},
-                "truth": rel.label,
-                "p_value": rep.p_value,
-                "gap": rep.gap,
-                "decision": rep.decision,
-                "wall_clock_s": time.perf_counter() - t0,
-            }
+    cases = [
+        Case(
+            {"dataset_id": i, "relation": {"x": rel.x, "y": rel.y, "z": list(rel.z)}, "truth": rel.label},
+            partial(project_relation, names, matrix, cols, rel),
+            replace(tester, seed=child_seed(tester.seed, f"relation-{i}")),
         )
+        for i, rel in enumerate(relations)
+    ]
+    rows = run_cases(cases)
     cfg_echo = {"tester": asdict(tester), "n_relations": len(relations)}
-    return BenchmarkReport(rows=tuple(rows), roc_auc=_auc_or_none(rows), config=cfg_echo)
+    return BenchmarkReport(rows=tuple(rows), roc_auc=summarize(rows)["roc_auc"], config=cfg_echo)
 
 
 def write_scores_csv(report: BenchmarkReport, path) -> None:

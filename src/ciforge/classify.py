@@ -156,6 +156,8 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     depth: int = field(init=False)
+    #: ``predict``'s routing: leaves read feature 0 and route to themselves.
+    _route: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         def walk(node: int) -> int:
@@ -164,15 +166,18 @@ class Tree:
             return 1 + max(walk(self.left[node]), walk(self.right[node]))
 
         self.depth = walk(0)
+        leaf = self.feature < 0
+        ids = np.arange(self.feature.size)
+        self._route = (
+            np.where(leaf, 0, self.feature),
+            np.where(leaf, ids, self.left),
+            np.where(leaf, ids, self.right),
+        )
 
     def predict(self, f: np.ndarray) -> np.ndarray:
         # Every row steps down one level per pass; leaves route to
         # themselves, so rows that reach one early stay there.
-        leaf = self.feature < 0
-        ids = np.arange(self.feature.size)
-        feature = np.where(leaf, 0, self.feature)
-        left = np.where(leaf, ids, self.left)
-        right = np.where(leaf, ids, self.right)
+        feature, left, right = self._route
         flat = f.ravel()
         row_start = np.arange(f.shape[0]) * f.shape[1]
         node = np.zeros(f.shape[0], dtype=np.intp)
