@@ -113,9 +113,10 @@ class DiscreteJoint:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         if p.shape != self.sizes:
             raise ValueError(f"pmf shape {p.shape} does not match sizes {self.sizes}")
-        if np.any(p < 0):
-            raise ValueError("pmf has negative entries")
-        if abs(p.sum() - 1.0) > 1e-12:
+        # Written so that NaN fails both tests; an infinite entry fails the sum.
+        if not (p >= 0).all():
+            raise ValueError("pmf has negative or NaN entries")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"pmf sums to {p.sum()!r}, not 1")
 
     def p_z(self) -> np.ndarray:

@@ -86,15 +86,6 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _overlap_grid(joint: DiscreteJoint):
-    """Overlap sum_x min(p(x|z), p(x|y,z)) per (y,z), with a validity mask."""
-    p_yz = joint.p_yz()
-    px_z = _safe_div(joint.p_xz(), joint.p_z()[None, :])
-    px_yz = _safe_div(joint.pmf, p_yz[None, :, :])
-    eps = np.minimum(px_z[:, None, :], px_yz).sum(axis=0)
-    return eps, p_yz > 0
-
-
 def ci_projection(joint: DiscreteJoint) -> DiscreteJoint:
     """The conditionally independent joint sharing p(x,z) and p(y,z).
 
@@ -113,18 +104,23 @@ def is_ci(joint: DiscreteJoint, tol: float) -> bool:
     """True iff the joint is within tol (in TV) of its CI projection."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    proj = ci_projection(joint)
-    return tv_distance(joint.pmf.ravel(), proj.pmf.ravel()) <= tol
+    return _projection_tv(joint) <= tol
+
+
+def _projection_tv(joint: DiscreteJoint) -> float:
+    """TV between the joint and its CI projection."""
+    return tv_distance(joint.pmf.ravel(), ci_projection(joint).pmf.ravel())
 
 
 def _validate_conditional(q_yz: np.ndarray, p_z: np.ndarray, ny: int, nz: int) -> np.ndarray:
     q = np.asarray(q_yz, dtype=np.float64)
     if q.shape != (ny, nz):
         raise InvalidConditional(f"q must have shape ({ny}, {nz}), got {q.shape}")
-    if np.any(q < 0):
-        raise InvalidConditional("q has negative entries")
+    # Written so that NaN fails: every comparison with it is False.
+    if not ((q >= 0) & (q < np.inf)).all():
+        raise InvalidConditional("q has negative or non-finite entries")
     col_sums = q.sum(axis=0)
-    bad = (p_z > 0) & (np.abs(col_sums - 1.0) > 1e-9)
+    bad = (p_z > 0) & ~(np.abs(col_sums - 1.0) <= 1e-9)
     if np.any(bad):
         z = int(np.nonzero(bad)[0][0])
         raise InvalidConditional(f"q(.|z={z}) sums to {col_sums[z]!r}, not 1")
@@ -151,8 +147,11 @@ class GapReport:
     ``overlap`` maps each (y,z) cell with p(y,z) > 0 to eps, the
     maximal-coupling mass between p(x|z) and p(x|y,z) there (1 - TV of the
     two conditionals).  It is 1 exactly when knowing y adds nothing about x
-    at that cell, and it does not depend on q.  Construction fails if any of the valid relations is violated beyond
-    rounding, so a successfully built report is itself the check.
+    at that cell, and it does not depend on q.
+
+    Construction fails if any of the valid relations is violated beyond
+    rounding, or if a value is NaN, so a successfully built report is itself
+    the check.
     """
 
     gap_lhs: float
@@ -163,19 +162,74 @@ class GapReport:
     overlap: dict[tuple[int, int], float] = field(repr=False)
 
     def __post_init__(self):
-        if self.gap_lhs < -SUM_TOL:
+        # Each test is written so that a NaN on either side fails it.
+        if not self.gap_lhs >= -SUM_TOL:
             raise AssertionError(f"gap {self.gap_lhs} is negative beyond tolerance")
-        if self.gap_lhs < self.bound_sharp - SUM_TOL:
+        if not self.gap_lhs >= self.bound_sharp - SUM_TOL:
             raise AssertionError(
                 f"gap {self.gap_lhs} fell below its sharp lower bound {self.bound_sharp}"
             )
-        if self.gap_lhs > self.bound_rhs + SUM_TOL:
+        if not self.gap_lhs <= self.bound_rhs + SUM_TOL:
             raise AssertionError(
                 f"gap {self.gap_lhs} exceeded its upper envelope {self.bound_rhs}"
             )
         for cell, eps in self.overlap.items():
             if not -SUM_TOL <= eps <= 1 + SUM_TOL:
                 raise AssertionError(f"overlap at {cell} outside [0, 1]: {eps}")
+
+
+class _JointParts:
+    """Everything :func:`gap_report` needs of a joint that does not depend on q.
+
+    Built once per joint, so that several mimic conditionals can be
+    evaluated on it without recomputing the marginals or the overlap grid.
+    """
+
+    __slots__ = ("p_z", "p_yz", "px_z", "pmf_flat", "eps", "mask", "overlap")
+
+    def __init__(self, joint: DiscreteJoint):
+        self.p_z = joint.p_z()
+        self.p_yz = joint.p_yz()
+        self.px_z = _safe_div(joint.p_xz(), self.p_z[None, :])
+        self.pmf_flat = joint.pmf.ravel()
+        # Overlap sum_x min(p(x|z), p(x|y,z)) per (y,z), valid where p(y,z) > 0.
+        px_yz = _safe_div(joint.pmf, self.p_yz[None, :, :])
+        self.eps = np.minimum(self.px_z[:, None, :], px_yz).sum(axis=0)
+        self.mask = self.p_yz > 0
+        self.overlap = {
+            (int(y), int(z)): float(self.eps[y, z]) for y, z in zip(*np.nonzero(self.mask))
+        }
+
+    def report(self, q_yz) -> GapReport:
+        """The exact gap and its envelopes for mimic conditional ``q_yz``."""
+        p_z, p_yz, eps, mask = self.p_z, self.p_yz, self.eps, self.mask
+        ny, nz = p_yz.shape
+        q = _validate_conditional(q_yz, p_z, ny, nz)
+
+        mimic = self.px_z[:, None, :] * q[None, :, :] * p_z[None, None, :]
+        m_yz = q * p_z[None, :]
+
+        tv_full = tv_distance(self.pmf_flat, mimic.ravel())
+        tv_yz = tv_distance(p_yz.ravel(), m_yz.ravel())
+
+        lo_mass = np.minimum(m_yz, p_yz)
+        hi_mass = np.maximum(m_yz, p_yz)
+        bound_rhs = float(np.where(mask, lo_mass * (1.0 - eps), 0.0).sum())
+        bound_sharp = float(np.where(mask, np.maximum(0.0, lo_mass - hi_mass * eps), 0.0).sum())
+        return GapReport(
+            gap_lhs=tv_full - tv_yz,
+            tv_full=tv_full,
+            tv_yz=tv_yz,
+            bound_rhs=bound_rhs,
+            bound_sharp=bound_sharp,
+            overlap=self.overlap,
+        )
+
+    def uniform_rhs(self, tv_proj: float) -> float:
+        """TV(joint, CI projection) / (a ny) with a = max p(y|z); see
+        :func:`uniform_mimic_bound`."""
+        a = float(_safe_div(self.p_yz, self.p_z[None, :]).max())
+        return tv_proj / (a * self.p_yz.shape[0])
 
 
 def gap_report(joint: DiscreteJoint, q_yz) -> GapReport:
@@ -185,35 +239,7 @@ def gap_report(joint: DiscreteJoint, q_yz) -> GapReport:
     with positive mass.  Cells with p(y,z) = 0 contribute zero mass to the
     bounds; the overlap there is undefined and excluded.
     """
-    p_z = joint.p_z()
-    p_yz = joint.p_yz()
-    ny, nz = p_yz.shape
-    q = _validate_conditional(q_yz, p_z, ny, nz)
-
-    px_z = _safe_div(joint.p_xz(), p_z[None, :])
-    mimic = px_z[:, None, :] * q[None, :, :] * p_z[None, None, :]
-    m_yz = q * p_z[None, :]
-
-    tv_full = tv_distance(joint.pmf.ravel(), mimic.ravel())
-    tv_yz = tv_distance(p_yz.ravel(), m_yz.ravel())
-
-    eps, mask = _overlap_grid(joint)
-    lo_mass = np.minimum(m_yz, p_yz)
-    hi_mass = np.maximum(m_yz, p_yz)
-    bound_rhs = float(np.where(mask, lo_mass * (1.0 - eps), 0.0).sum())
-    bound_sharp = float(np.where(mask, np.maximum(0.0, lo_mass - hi_mass * eps), 0.0).sum())
-
-    table = {
-        (int(y), int(z)): float(eps[y, z]) for y, z in zip(*np.nonzero(mask))
-    }
-    return GapReport(
-        gap_lhs=tv_full - tv_yz,
-        tv_full=tv_full,
-        tv_yz=tv_yz,
-        bound_rhs=bound_rhs,
-        bound_sharp=bound_sharp,
-        overlap=table,
-    )
+    return _JointParts(joint).report(q_yz)
 
 
 def true_conditional(joint: DiscreteJoint) -> np.ndarray:
@@ -243,13 +269,9 @@ def uniform_mimic_bound(joint: DiscreteJoint) -> tuple[float, float]:
     """
     if joint.sizes[1] < 2:
         raise ValueError("y alphabet must have at least 2 symbols")
-    rep = gap_report(joint, uniform_conditional(joint))
-    p_z = joint.p_z()
-    py_z = _safe_div(joint.p_yz(), p_z[None, :])
-    a = float(py_z.max())
-    proj = ci_projection(joint)
-    rhs = tv_distance(joint.pmf.ravel(), proj.pmf.ravel()) / (a * joint.sizes[1])
-    return rep.gap_lhs, rhs
+    parts = _JointParts(joint)
+    rep = parts.report(uniform_conditional(joint))
+    return rep.gap_lhs, parts.uniform_rhs(_projection_tv(joint))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +386,11 @@ def run_verify(
         p = rng.dirichlet(np.ones(s))
         q = rng.dirichlet(np.ones(s))
         r = rng.dirichlet(np.ones(s))
-        sym.append(abs(tv_distance(p, q) - tv_distance(q, p)))
-        tri.append(tv_distance(p, q) + tv_distance(q, r) - tv_distance(p, r))
-        dual.append(abs(bayes_error(p, q) + 0.5 * tv_distance(p, q) - 0.5))
-        minform.append(abs(tv_distance(p, q) - (1.0 - float(np.minimum(p, q).sum()))))
+        tv_pq = tv_distance(p, q)
+        sym.append(abs(tv_pq - tv_distance(q, p)))
+        tri.append(tv_pq + tv_distance(q, r) - tv_distance(p, r))
+        dual.append(abs(bayes_error(p, q) + 0.5 * tv_pq - 0.5))
+        minform.append(abs(tv_pq - (1.0 - float(np.minimum(p, q).sum()))))
     checks["tv_symmetry"] = _check(sym, 0.0, "max", n_pairs)
     checks["tv_triangle"] = _check(tri, SUM_TOL, "min", n_pairs)
     checks["bayes_error_tv_identity"] = _check(dual, IDENTITY_TOL, "max", n_pairs)
@@ -386,9 +409,10 @@ def run_verify(
         q_true = true_conditional(joint)
         q_unif = uniform_conditional(joint)
         q_rand = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
+        parts = _JointParts(joint)
         gaps = {}
         for name, q in (("true", q_true), ("uniform", q_unif), ("random", q_rand)):
-            rep = gap_report(joint, q)
+            rep = parts.report(q)
             gaps[name] = rep.gap_lhs
             sharp_slack.append(rep.gap_lhs - rep.bound_sharp)
             upper_slack.append(rep.bound_rhs - rep.gap_lhs)
@@ -399,12 +423,11 @@ def run_verify(
                 equality_at_true.append(abs(rep.gap_lhs - rep.bound_sharp))
         # The true conditional attains the grid maximum and equals the TV
         # to the CI projection.
-        proj = ci_projection(joint)
-        tv_proj = tv_distance(joint.pmf.ravel(), proj.pmf.ravel())
+        tv_proj = _projection_tv(joint)
         maximizer.append(gaps["true"] - max(gaps.values()))
         maximizer_id.append(abs(gaps["true"] - tv_proj))
-        lhs, rhs = uniform_mimic_bound(joint)
-        unif_slack.append(lhs - rhs)
+        # uniform_mimic_bound(joint), from the uniform report above.
+        unif_slack.append(gaps["uniform"] - parts.uniform_rhs(tv_proj))
     checks["gap_sharp_lower_bound"] = _check(sharp_slack, SUM_TOL, "min", 3 * n_gap_joints)
     checks["gap_mass_upper_envelope"] = _check(upper_slack, SUM_TOL, "min", 3 * n_gap_joints)
     checks["gap_nonnegative"] = _check(nonneg, SUM_TOL, "min", 3 * n_gap_joints)
@@ -428,9 +451,10 @@ def run_verify(
         agree.append(1.0 if is_ci(joint, NONZERO_TOL) else -1.0)
     for _ in range(n_dep):
         joint = gen_discrete_joint(_random_sizes(rng, max_size), ci=False, seed=int(rng.integers(2**63)))
-        dep_gaps.append(gap_report(joint, true_conditional(joint)).gap_lhs - 1e-6)
+        parts = _JointParts(joint)
+        dep_gaps.append(parts.report(true_conditional(joint)).gap_lhs - 1e-6)
         q = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
-        dep_gaps_rand.append(gap_report(joint, q).gap_lhs - 1e-6)
+        dep_gaps_rand.append(parts.report(q).gap_lhs - 1e-6)
         agree.append(1.0 if not is_ci(joint, NONZERO_TOL) else -1.0)
     checks["ci_implies_zero_gap"] = _check(ci_gaps, SUM_TOL, "min", n_ci)
     checks["dependence_implies_gap"] = _check(dep_gaps, 0.0, "min", n_dep)

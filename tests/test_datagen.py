@@ -107,6 +107,14 @@ class TestDiscreteJoint:
         with pytest.raises(ValueError):
             DiscreteJoint((2, 2, 2), np.full((2, 2, 2), 0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pmf_rejected(self, bad):
+        """A NaN fails every comparison, so it must fail the checks, not pass them."""
+        pmf = np.full((2, 2, 2), 0.125)
+        pmf[0, 1, 0] = bad
+        with pytest.raises(ValueError):
+            DiscreteJoint((2, 2, 2), pmf)
+
 
 class TestSampleDiscrete:
     def test_point_mass(self):

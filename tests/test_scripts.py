@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts on tiny inputs."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from ciforge.bench import BenchmarkConfig, roc_auc, run_benchmark, run_relations
 from ciforge.classify import GbtConfig
 from ciforge.core import Column, Relation, derive_rng
+from ciforge.oracle import run_verify
 from ciforge.testkit import TestConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -138,3 +140,20 @@ def test_bench_import(tmp_path, monkeypatch):
     record = json.loads((SCRIPTS.parent / "BENCH_import.json").read_text())["change"]["test"]
     assert report["test"]["exit_code"] == record["exit_code"]
     assert report["test"]["stdout_sha256"] == record["stdout_sha256"]
+
+
+def test_bench_verify(tmp_path, monkeypatch):
+    script = load_script("bench_verify")
+    monkeypatch.setattr(script, "SEEDS", (0,))
+    out = tmp_path / "verify.json"
+    assert script.main(["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"total", *script.SECTIONS, "sha256", "seeds", "env"} and report["seeds"] == [0]
+    assert all(len(report[name]["runs_s"]) == 1 for name in ("total", *script.SECTIONS))
+    # With one seed the digest is that of its one report, as written in the docstring.
+    default = run_verify(seed=0)
+    del default["elapsed_s"]
+    assert report["sha256"] == hashlib.sha256(json.dumps(default, sort_keys=True).encode()).hexdigest()
+    # The recorded sides differ only in speed, so they print the same reports.
+    record = json.loads((SCRIPTS.parent / "BENCH_verify.json").read_text())
+    assert record["parent"]["sha256"] == record["change"]["sha256"]
