@@ -11,11 +11,16 @@ solver once, then for each seed in ``SEEDS`` times in process seconds:
   envelopes, ``ci`` and ``dep``: zero gap if and only if CI, ``sparse``:
   zero-mass cells, ``lp``: the coupling LP cross-check).
 
-Medians and every run are reported, plus a sha256 over the default reports
-without their wall-clock ``elapsed_s`` (each ``json.dumps(..., sort_keys=True)``,
-one per line in seed order), so two checkouts can be compared side by side;
-the digest must agree between them when only the speed changes.  BLAS
-threads are pinned to 1 unless already set.
+Each run is also reported in calibration units: its time divided by the
+mean of two timings of ``bench_split_kernel.py``'s calibration kernel (the
+median of three runs, in process seconds), taken in the same interpreter
+just before and just after it, so host drift between invocations mostly
+cancels.  Medians and every run are reported, plus a sha256 over the
+default reports without their wall-clock ``elapsed_s`` (each
+``json.dumps(..., sort_keys=True)``, one per line in seed order), so two
+checkouts can be compared side by side; the digest must agree between them
+when only the speed changes.  BLAS threads are pinned to 1 unless already
+set.
 
 Usage:
     python scripts/bench_verify.py [--out BENCH.json]
@@ -32,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 SEEDS = tuple(range(8))
 SECTIONS = {
     "pairs": "n_pairs",
@@ -44,25 +50,29 @@ SECTIONS = {
 }
 PROBE = """
 import hashlib, json, sys, time
+from bench_split_kernel import calibration_s
 from ciforge.oracle import run_verify
 seeds, sections = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 zero = {count: 0 for count in sections.values()}
 run_verify(seed=0, **{**zero, "n_lp": 1})  # scipy's import stays out of every timing
 
-def timed(seed, **counts):
+def timed(name, seed, **counts):
+    before = calibration_s(time.process_time)
     t0 = time.process_time()
     report = run_verify(seed=seed, **counts)
-    return time.process_time() - t0, report
+    t = time.process_time() - t0
+    out[name].append(t)
+    out[name + "_cal"].append(2.0 * t / (before + calibration_s(time.process_time)))
+    return report
 
-out = {"total": [], **{name: [] for name in sections}}
+out = {key: [] for name in ["total", *sections] for key in (name, name + "_cal")}
 lines = []
 for seed in seeds:
-    t, report = timed(seed)
-    out["total"].append(t)
+    report = timed("total", seed)
     del report["elapsed_s"]
     lines.append(json.dumps(report, sort_keys=True))
     for name, count in sections.items():
-        out[name].append(timed(seed, **{k: 0 for k in zero if k != count})[0])
+        timed(name, seed, **{k: 0 for k in zero if k != count})
 out["sha256"] = hashlib.sha256("\\n".join(lines).encode()).hexdigest()
 print(json.dumps(out))
 """
@@ -72,7 +82,8 @@ def child_env() -> dict:
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # The script directory holds the calibration kernel the probe imports.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(HERE), env.get("PYTHONPATH")]))
     return env
 
 
@@ -80,7 +91,13 @@ def measure(seeds) -> dict:
     argv = [sys.executable, "-c", PROBE, json.dumps(list(seeds)), json.dumps(SECTIONS)]
     out = json.loads(subprocess.run(argv, env=child_env(), capture_output=True, check=True).stdout)
     report = {
-        name: {"median_s": statistics.median(out[name]), "runs_s": out[name]} for name in ("total", *SECTIONS)
+        name: {
+            "median_s": statistics.median(out[name]),
+            "runs_s": out[name],
+            "median_cal": statistics.median(out[name + "_cal"]),
+            "runs_cal": out[name + "_cal"],
+        }
+        for name in ("total", *SECTIONS)
     }
     report["sha256"] = out["sha256"]
     return report
@@ -105,7 +122,8 @@ def main(argv=None) -> int:
     else:
         Path(args.out).write_text(text + "\n")
     sections = ", ".join(f"{name} {report[name]['median_s']:.3f}" for name in SECTIONS)
-    print(f"run_verify {report['total']['median_s']:.3f} s ({sections})", file=sys.stderr)
+    total = report["total"]
+    print(f"run_verify {total['median_s']:.3f} s, {total['median_cal']:.1f} cal ({sections})", file=sys.stderr)
     return 0
 
 

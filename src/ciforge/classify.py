@@ -41,13 +41,17 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   order; a zero denominator, which Python refuses, is divided by numpy
   instead, so 0/0 is still NaN and x/0 inf;
 * rows with equal features fall in the same leaf of every tree, so they
-  share a margin.  Each round evaluates the sigmoid, the hessian, the
-  margin-only part of the loss, the backoff and the validation prediction
-  once per distinct row, and expands them per row with one gather.  That
-  is bit-identical to the per-row loop: the sigmoid and the loss are
-  elementwise, so a group's value is each of its rows' value, and the
-  gradient, the ``m*y`` term and the loss's sum stay per row, adding the
-  same operands in the same order;
+  share a margin.  Trees are grown on one row per group, and each round
+  evaluates the sigmoid, the margin-only part of the loss, the backoff and
+  the validation prediction once per group.  A group of c rows with label
+  sum s and probability p has gradient c*p - s and hessian c*p*(1 - p):
+  the sums of its rows' p - y and p(1 - p), added in another order.  Where
+  no row repeats (c = 1, s = y) the fit is bit-identical to the per-row
+  loop; where rows repeat the sums differ from it in their last bits, and
+  when two one-hot columns cut a node into the same two row sets, those
+  bits can pick the other column, with predictions equal up to rounding.
+  The ``m*y`` term and the loss's sum stay per row, so ``train_loss`` is
+  the exact loss of the kept trees;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -541,12 +545,14 @@ def fit_boosted_trees(
     # Canonical row order (features, then label) makes every accumulation
     # order-independent, so training is bit-identical under row permutation.
     canon = _canonical_order(f_train, y)
-    f_train = f_train[canon]
-    y = y[canon]
-    builder = _TreeBuilder(f_train)
     # Equal feature rows share a leaf in every tree, so they share a margin:
-    # each round evaluates one margin per group and expands it per row.
-    first, rows = _row_groups(f_train, np.arange(f_train.shape[0]))
+    # each round evaluates one margin per group, and the trees are grown on
+    # one row per group with the group's gradient and hessian sums.
+    first, rows = _row_groups(f_train, canon)
+    y, rows = y[canon], rows[canon]
+    counts = np.bincount(rows)
+    y_sum = np.bincount(rows, weights=y)
+    builder = _TreeBuilder(f_train[first])
     first_val, rows_val = _row_groups(f_val, _canonical_order(f_val, yv))
     f_val = f_val[first_val]
     margin = np.zeros(first.size)
@@ -557,10 +563,8 @@ def fit_boosted_trees(
     best_round = 0
     for _ in range(config.rounds):
         p = _sigmoid(margin)
-        g = p[rows] - y
-        h = (p * (1.0 - p))[rows]
-        tree, row_values = builder.build(g, h)
-        delta = row_values[first]
+        cp = counts * p
+        tree, delta = builder.build(cp - y_sum, cp * (1.0 - p))
         # Deterministic backoff: halve the step until the training loss
         # does not increase (runs at most a handful of times near
         # saturation, usually zero).

@@ -48,19 +48,50 @@ def as_labeled(f, y):
     return LabeledDataset(ds, y.astype(np.int8))
 
 
-def reference_boost(f_train, y_train, f_val, y_val, rounds):
+def one_hot_problem(seed=42, n=900):
+    """Three one-hot 3-level columns, at most 27 distinct rows, and labels
+    drawn from a logistic of each cell's score: (f, y)."""
+    rng = derive_rng(seed, "distinct-rows")
+    codes = rng.integers(0, 3, (n, 3))
+    f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-rng.standard_normal(27)[codes @ [9, 3, 1]]))).astype(np.float64)
+    return f, y
+
+
+def reference_boost(f_train, y_train, f_val, y_val, rounds, grouped=False):
     """The boosting loop with one margin per row, training and validation
-    alike: (trees, best_round, train_loss, val_loss)."""
+    alike: (trees, best_round, train_loss, val_loss).
+
+    With ``grouped``, each tree is grown on the first row of each run of
+    equal rows in canonical order, with the run's count times p less its
+    label sum as the gradient and count times p(1 - p) as the hessian, the
+    sums taken one row at a time; every row takes its run's leaf value.
+    """
     y, yv = np.asarray(y_train, dtype=np.float64), np.asarray(y_val, dtype=np.float64)
     canon = np.lexsort((y,) + tuple(f_train[:, j] for j in range(f_train.shape[1] - 1, -1, -1)))
     f_train, y = f_train[canon], y[canon]
-    builder = _TreeBuilder(f_train)
-    margin, margin_val = np.zeros(f_train.shape[0]), np.zeros(f_val.shape[0])
+    n = f_train.shape[0]
+    if grouped:
+        starts = [i for i in range(n) if i == 0 or not np.array_equal(f_train[i], f_train[i - 1])]
+        group = np.cumsum(np.isin(np.arange(n), starts)) - 1
+        counts, y_sum = np.zeros(len(starts)), np.zeros(len(starts))
+        for i in range(n):
+            counts[group[i]] += 1.0
+            y_sum[group[i]] += y[i]
+        builder = _TreeBuilder(f_train[starts])
+    else:
+        builder = _TreeBuilder(f_train)
+    margin, margin_val = np.zeros(n), np.zeros(f_val.shape[0])
     train_loss, val_loss = [classify._logloss(margin, y)], [classify._logloss(margin_val, yv)]
     trees, best_round = [], 0
     for _ in range(rounds):
         p = classify._sigmoid(margin)
-        tree, delta = builder.build(p - y, p * (1.0 - p))
+        if grouped:
+            p_run = p[starts]
+            tree, delta = builder.build(counts * p_run - y_sum, counts * p_run * (1.0 - p_run))
+            delta = delta[group]
+        else:
+            tree, delta = builder.build(p - y, p * (1.0 - p))
         for _ in range(40):
             stepped = margin + delta
             loss = classify._logloss(stepped, y)
@@ -145,14 +176,14 @@ class TestBoostedTrees:
     @pytest.mark.parametrize("case", ["one_hot", "continuous", "signed_zeros", "every_step_uphill"])
     def test_distinct_rows_match_the_per_row_loop(self, case, monkeypatch):
         """One margin per distinct row gives the trees, best_round and
-        losses of one margin per row, bit for bit."""
+        losses of one margin per row, bit for bit where no row repeats.
+        Where rows repeat, the trees are grown on count-weighted sums, which
+        add in another order: the fit is then bit for bit the count-weighted
+        loop, and within rounding of the per-row one."""
         if case == "continuous":  # no repeated row: every group is one row
             f, y = blob_problem(n=900, seed=41, d=3)
         else:  # three one-hot 3-level columns: at most 27 distinct rows
-            rng = derive_rng(42, "distinct-rows")
-            codes = rng.integers(0, 3, (900, 3))
-            f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
-            y = (rng.random(900) < 1.0 / (1.0 + np.exp(-rng.standard_normal(27)[codes @ [9, 3, 1]]))).astype(np.float64)
+            f, y = one_hot_problem()
         if case == "signed_zeros":  # -0.0 == 0.0: the rows group, and share every leaf
             rng = derive_rng(43, "signed-zeros")
             f[(f == 0.0) & (rng.random(f.shape) < 0.5)] = -0.0
@@ -169,7 +200,8 @@ class TestBoostedTrees:
         assert (np.unique(f, axis=0).shape[0] == f.shape[0]) == (case == "continuous")
         rounds = 8 if case == "every_step_uphill" else 60
         fit = fit_boosted_trees(f[:600], y[:600], f[600:], y[600:], GbtConfig(rounds=rounds))
-        trees, best_round, train_loss, val_loss = reference_boost(f[:600], y[:600], f[600:], y[600:], rounds)
+        grouped = case != "continuous"
+        trees, best_round, train_loss, val_loss = reference_boost(f[:600], y[:600], f[600:], y[600:], rounds, grouped)
         assert fit.best_round == best_round
         assert fit.train_loss == train_loss and fit.val_loss == val_loss
         assert len(fit.trees) == len(trees)
@@ -177,6 +209,34 @@ class TestBoostedTrees:
             assert_same_tree(a, b)
         if case == "every_step_uphill":
             assert train_loss[-1] > train_loss[0]
+        if grouped:
+            # Two one-hot columns can cut a node into the same two row sets,
+            # and rounding picks between them, so trees are compared by their
+            # losses and margins, not node by node.
+            trees, best_round, train_loss, val_loss = reference_boost(f[:600], y[:600], f[600:], y[600:], rounds)
+            assert fit.best_round == best_round and len(fit.trees) == len(trees)
+            np.testing.assert_allclose(fit.train_loss, train_loss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(fit.val_loss, val_loss, rtol=1e-12, atol=0)
+            for rows in (f[:600], f[600:]):
+                margin = sum(t.predict(rows) for t in fit.trees)
+                per_row = sum(t.predict(rows) for t in trees)
+                np.testing.assert_allclose(margin, per_row, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["one_hot", "continuous"])
+    def test_trees_are_grown_on_one_row_per_distinct_training_row(self, kind, monkeypatch):
+        shapes = []
+        init = _TreeBuilder.__init__
+
+        def recording_init(self, f):
+            shapes.append(f.shape)
+            init(self, f)
+
+        monkeypatch.setattr(_TreeBuilder, "__init__", recording_init)
+        f, y = one_hot_problem() if kind == "one_hot" else blob_problem(n=900, seed=41, d=3)
+        fit_boosted_trees(f[:600], y[:600], f[600:], y[600:], GbtConfig(rounds=3))
+        distinct = np.unique(f[:600], axis=0).shape[0]
+        assert shapes == [(distinct, f.shape[1])]
+        assert (distinct < 600) == (kind == "one_hot")
 
     def test_permutation_invariance(self):
         f, y = blob_problem(n=600, seed=5)

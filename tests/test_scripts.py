@@ -150,6 +150,7 @@ def test_bench_verify(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert set(report) == {"total", *script.SECTIONS, "sha256", "seeds", "env"} and report["seeds"] == [0]
     assert all(len(report[name]["runs_s"]) == 1 for name in ("total", *script.SECTIONS))
+    assert all(len(report[name]["runs_cal"]) == 1 and report[name]["median_cal"] > 0 for name in ("total", *script.SECTIONS))
     # With one seed the digest is that of its one report, as written in the docstring.
     default = run_verify(seed=0)
     del default["elapsed_s"]
