@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Power sweep: ROC-AUC of p-values over mixed H0/H1 datasets vs dimension.
 
-Runs the benchmark at several conditioning dimensions and prints one AUC
-per point, with the per-dataset p-values available via --scores-dir.
+Runs the benchmark at several conditioning dimensions in one pool and
+prints one AUC per point, with per-dataset p-values via --scores-dir.
 
 Usage:
     python scripts/run_power_benchmark.py [--dims 1,5,20] [--n 1000]
@@ -12,9 +12,10 @@ Usage:
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from ciforge.bench import BenchmarkConfig, run_benchmark, write_scores_csv
+from ciforge.bench import BenchmarkConfig, benchmark_cases, run_cases, summarize, write_scores_csv
 from ciforge.testkit import TestConfig
 
 
@@ -29,25 +30,25 @@ def main(argv=None) -> int:
     ap.add_argument("--scores-dir", help="write per-point (id,label,p) CSVs here")
     args = ap.parse_args(argv)
 
+    tester = TestConfig(seed=args.seed)
+    configs = {
+        d_z: BenchmarkConfig(n_h0=args.datasets, n_h1=args.datasets, n=args.n, d_z=d_z, a_xy=args.a_xy, tester=tester)
+        for d_z in (int(s) for s in args.dims.split(","))
+    }
+    cases = [replace(c, fields={"d_z": d_z, **c.fields}) for d_z, cfg in configs.items() for c in benchmark_cases(cfg)]
+    rows = run_cases(cases, args.parallel)
+
     points = []
-    for d_z in (int(s) for s in args.dims.split(",")):
-        cfg = BenchmarkConfig(
-            n_h0=args.datasets,
-            n_h1=args.datasets,
-            n=args.n,
-            d_z=d_z,
-            a_xy=args.a_xy,
-            tester=TestConfig(seed=args.seed),
-            parallel=args.parallel,
-        )
-        rep = run_benchmark(cfg)
-        wall = sum(r["wall_clock_s"] for r in rep.rows)
-        points.append({"d_z": d_z, "roc_auc": rep.roc_auc, "total_test_s": wall})
-        print(f"d_z={d_z:4d}  roc_auc={rep.roc_auc}  ({wall:.0f}s of tester time)", file=sys.stderr)
+    for d_z in configs:
+        point_rows = [r for r in rows if r["d_z"] == d_z]
+        auc = summarize(point_rows)["roc_auc"]
+        wall = sum(r["wall_clock_s"] for r in point_rows)
+        points.append({"d_z": d_z, "roc_auc": auc, "total_test_s": wall})
+        print(f"d_z={d_z:4d}  roc_auc={auc}  ({wall:.0f}s of tester time)", file=sys.stderr)
         if args.scores_dir:
             out = Path(args.scores_dir)
             out.mkdir(parents=True, exist_ok=True)
-            write_scores_csv(rep, out / f"scores_dz{d_z}.csv")
+            write_scores_csv(point_rows, out / f"scores_dz{d_z}.csv")
     print(json.dumps({"n": args.n, "a_xy": args.a_xy, "points": points}, sort_keys=True, indent=2))
     return 0
 

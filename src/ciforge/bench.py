@@ -5,12 +5,12 @@ dataset maker and the ``TestConfig`` to test it with.  ``run_cases`` tests
 them and returns one row per case with the same report fields; ``summarize``
 gives a group of rows' rejections, mean H0 ``e1`` and p-value ROC-AUC (on
 -p against NOTCI=1, since a lower p-value means stronger evidence of
-dependence).  ``run_benchmark`` sweeps post-nonlinear data; ``run_relations``
-runs one case per row of a relation file, an (X, Y, Z-set, label) test on
-the columns of one wide CSV.
+dependence).  ``benchmark_cases`` builds a post-nonlinear sweep and
+``relation_cases`` one case per row of a relation file, an (X, Y, Z-set,
+label) test on the columns of one wide CSV; ``run_benchmark`` and
+``run_relations`` run and score them.
 """
 
-import json
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -27,17 +27,9 @@ from .testkit import TestConfig, child_seed, ci_test
 
 def _midranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged (exact halves, so sums stay exact)."""
-    order = np.argsort(v, kind="mergesort")
-    sv = v[order]
-    ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # rank of each tie group's last member
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def roc_auc(scores, labels) -> float:
@@ -130,15 +122,13 @@ class BenchmarkConfig:
     n: int = 1000
     d_z: int = 5
     a_xy: float = 2.0
-    noise_var: float = 0.25
     tester: TestConfig = field(default_factory=TestConfig)
     parallel: int = 1
 
     def __post_init__(self):
         for name in ("n_h0", "n_h1", "n", "d_z"):
             require_number(name, getattr(self, name), integer=True)
-        for name in ("a_xy", "noise_var"):
-            require_number(name, getattr(self, name))
+        require_number("a_xy", self.a_xy)
         if self.n_h0 < 0 or self.n_h1 < 0 or self.n_h0 + self.n_h1 < 2:
             raise ValueError("need at least 2 datasets")
         _require_parallel(self.parallel)
@@ -150,19 +140,13 @@ class BenchmarkReport:
     roc_auc: float | None
     config: dict
 
-    def to_dict(self, include_wall_clock: bool = True) -> dict:
-        rows = self.rows
-        if not include_wall_clock:
-            rows = tuple({k: v for k, v in r.items() if k != "wall_clock_s"} for r in rows)
-        return {"rows": list(rows), "roc_auc": self.roc_auc, "config": self.config}
-
-    def to_json(self, include_wall_clock: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_clock), sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"rows": list(self.rows), "roc_auc": self.roc_auc, "config": self.config}
 
 
-def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
-    """Generate, test, and score a full sweep; deterministic given the seed."""
-    base = PostNonlinearConfig(d_z=config.d_z, n=config.n, ci=True, a_xy=config.a_xy, noise_var=config.noise_var)
+def benchmark_cases(config: BenchmarkConfig) -> list[Case]:
+    """The sweep's cases: data and tester seeded with child seeds of ``config.tester.seed``."""
+    base = PostNonlinearConfig(d_z=config.d_z, n=config.n, ci=True, a_xy=config.a_xy)
     cases = []
     for i in range(config.n_h0 + config.n_h1):
         ci = i < config.n_h0
@@ -170,7 +154,12 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         fields = {"dataset_id": i, "truth": "CI" if ci else "NOTCI"}
         tester = replace(config.tester, seed=child_seed(config.tester.seed, f"bench-test-{i}"))
         cases.append(Case(fields, partial(gen_postnonlinear, pnl), tester))
-    rows = run_cases(cases, config.parallel)
+    return cases
+
+
+def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
+    """Generate, test, and score a full sweep; deterministic given the seed."""
+    rows = run_cases(benchmark_cases(config), config.parallel)
     return BenchmarkReport(rows=tuple(rows), roc_auc=summarize(rows)["roc_auc"], config=asdict(config))
 
 
@@ -188,11 +177,11 @@ def project_relation(names, matrix: np.ndarray, cols: dict, rel: Relation) -> Da
     return Dataset(x_cols, y_cols, z_cols, matrix[:, take])
 
 
-def run_relations(
+def relation_cases(
     names, matrix: np.ndarray, cols: dict, relations: list[Relation], tester: TestConfig
-) -> BenchmarkReport:
-    """Run the test on every relation row, seeded from ``tester.seed``, and score against its labels."""
-    cases = [
+) -> list[Case]:
+    """One case per relation row, its tester seeded with a child seed of ``tester.seed``."""
+    return [
         Case(
             {"dataset_id": i, "relation": {"x": rel.x, "y": rel.y, "z": list(rel.z)}, "truth": rel.label},
             partial(project_relation, names, matrix, cols, rel),
@@ -200,14 +189,20 @@ def run_relations(
         )
         for i, rel in enumerate(relations)
     ]
-    rows = run_cases(cases)
+
+
+def run_relations(
+    names, matrix: np.ndarray, cols: dict, relations: list[Relation], tester: TestConfig
+) -> BenchmarkReport:
+    """Run the test on every relation row and score against its labels."""
+    rows = run_cases(relation_cases(names, matrix, cols, relations, tester))
     cfg_echo = {"tester": asdict(tester), "n_relations": len(relations)}
     return BenchmarkReport(rows=tuple(rows), roc_auc=summarize(rows)["roc_auc"], config=cfg_echo)
 
 
-def write_scores_csv(report: BenchmarkReport, path) -> None:
-    """(dataset_id, label, p_value) rows for external plotting."""
+def write_scores_csv(rows, path) -> None:
+    """(dataset_id, label, p_value) lines of sweep rows, for external plotting."""
     lines = ["dataset_id,label,p_value"]
-    for r in report.rows:
+    for r in rows:
         lines.append(f"{r['dataset_id']},{r['truth']},{r['p_value']!r}")
     Path(path).write_text("\n".join(lines) + "\n")

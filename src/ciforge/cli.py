@@ -78,9 +78,7 @@ def _cmd_gen(args) -> int:
     sidecar = out.with_suffix(out.suffix + ".meta.json")
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     if args.kind == "pnl":
-        cfg = PostNonlinearConfig(
-            d_z=args.d_z, n=args.n, ci=args.ci, a_xy=args.a_xy, noise_var=args.noise_var, seed=args.seed
-        )
+        cfg = PostNonlinearConfig(d_z=args.d_z, n=args.n, ci=args.ci, a_xy=args.a_xy, seed=args.seed)
         ds = gen_postnonlinear(cfg)
         manifest = {
             "kind": "pnl",
@@ -88,7 +86,6 @@ def _cmd_gen(args) -> int:
             "d_z": args.d_z,
             "ci": args.ci,
             "a_xy": args.a_xy,
-            "noise_var": args.noise_var,
             "seed": args.seed,
         }
     else:
@@ -131,13 +128,12 @@ def _cmd_bench(args) -> int:
         n=args.n,
         d_z=args.d_z,
         a_xy=args.a_xy,
-        noise_var=args.noise_var,
         tester=_tester_from(args),
         parallel=args.parallel,
     )
     report = run_benchmark(cfg)
     if args.scores_csv:
-        write_scores_csv(report, args.scores_csv)
+        write_scores_csv(report.rows, args.scores_csv)
     _emit(
         report.to_dict(),
         args,
@@ -152,7 +148,7 @@ def _cmd_relations(args) -> int:
     rels = read_relations(args.relations)
     report = run_relations(names, matrix, cols, rels, tester)
     if args.scores_csv:
-        write_scores_csv(report, args.scores_csv)
+        write_scores_csv(report.rows, args.scores_csv)
     _emit(
         report.to_dict(),
         args,
@@ -178,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-z", type=int, default=5, dest="d_z")
     p.add_argument("--ci", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--a-xy", type=float, default=2.0, dest="a_xy")
-    p.add_argument("--noise-var", type=float, default=0.25, dest="noise_var")
     p.add_argument("--sizes", default="3,3,3", help="discrete alphabet sizes, e.g. 3,3,3")
     p.add_argument("--data-out", required=True, help="CSV output path")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default: %(default)s)")
@@ -196,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d-z", type=int, default=5, dest="d_z")
     p.add_argument("--a-xy", type=float, default=2.0, dest="a_xy")
-    p.add_argument("--noise-var", type=float, default=0.25, dest="noise_var")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--scores-csv", help="also write (dataset_id,label,p_value) CSV")
     _add_tester_flags(p)

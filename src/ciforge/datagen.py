@@ -22,6 +22,9 @@ from .errors import SizeOutOfRange
 
 NONLINEARITIES = ("identity", "square", "cube", "tanh", "expneg")
 
+# Variance of the additive Gaussian noise on both post-nonlinear equations.
+NOISE_VAR = 0.25
+
 # exp(-x) inputs are clamped to this window to avoid float overflow; the
 # clamp applies identically under both ground truths.
 _EXP_CLAMP = 10.0
@@ -49,7 +52,6 @@ class PostNonlinearConfig:
     n: int
     ci: bool
     a_xy: float = 2.0
-    noise_var: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +59,6 @@ class PostNonlinearConfig:
             raise ValueError("d_z must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be > 0")
 
 
 def _pnl_draws(cfg: PostNonlinearConfig):
@@ -68,7 +68,7 @@ def _pnl_draws(cfg: PostNonlinearConfig):
     against the assembled output.
     """
     rng = derive_rng(cfg.seed, "postnonlinear")
-    std = float(np.sqrt(cfg.noise_var))
+    std = float(np.sqrt(NOISE_VAR))
     z = rng.standard_normal((cfg.n, cfg.d_z))
     a_x = rng.standard_normal(cfg.d_z) / np.sqrt(cfg.d_z)
     a_y = rng.standard_normal(cfg.d_z) / np.sqrt(cfg.d_z)

@@ -31,6 +31,8 @@ from .errors import InvalidConditional, SupportMismatch
 IDENTITY_TOL = 1e-14
 SUM_TOL = 1e-12
 NONZERO_TOL = 1e-9
+# Largest alphabet size of the verify battery's random joints (each size 2..MAX_SIZE).
+MAX_SIZE = 4
 
 
 def _pmf_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +281,8 @@ def uniform_mimic_bound(joint: DiscreteJoint) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _random_sizes(rng: np.random.Generator, max_size: int) -> tuple[int, int, int]:
-    return tuple(int(s) for s in rng.integers(2, max_size + 1, size=3))
+def _random_sizes(rng: np.random.Generator) -> tuple[int, int, int]:
+    return tuple(int(s) for s in rng.integers(2, MAX_SIZE + 1, size=3))
 
 
 def _random_conditional(rng: np.random.Generator, ny: int, nz: int) -> np.ndarray:
@@ -361,7 +363,6 @@ def run_verify(
     n_pairs: int = 1000,
     n_sparse: int = 50,
     n_lp: int = 50,
-    max_size: int = 4,
 ) -> dict:
     """Run the full oracle property battery; returns a JSON-friendly report.
 
@@ -405,7 +406,7 @@ def run_verify(
     mass_lower_slack, unif_slack = [], []
     maximizer, maximizer_id, equality_at_true = [], [], []
     for _ in range(n_gap_joints):
-        joint = gen_discrete_joint(_random_sizes(rng, max_size), ci=False, seed=int(rng.integers(2**63)))
+        joint = gen_discrete_joint(_random_sizes(rng), ci=False, seed=int(rng.integers(2**63)))
         q_true = true_conditional(joint)
         q_unif = uniform_conditional(joint)
         q_rand = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
@@ -444,13 +445,13 @@ def run_verify(
     # null the gap, so it is observed without gating).
     ci_gaps, dep_gaps, dep_gaps_rand, agree = [], [], [], []
     for _ in range(n_ci):
-        joint = gen_discrete_joint(_random_sizes(rng, max_size), ci=True, seed=int(rng.integers(2**63)))
+        joint = gen_discrete_joint(_random_sizes(rng), ci=True, seed=int(rng.integers(2**63)))
         q = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
         gap = gap_report(joint, q).gap_lhs
         ci_gaps.append(-abs(gap))  # want |gap| <= tol, expressed as min-slack
         agree.append(1.0 if is_ci(joint, NONZERO_TOL) else -1.0)
     for _ in range(n_dep):
-        joint = gen_discrete_joint(_random_sizes(rng, max_size), ci=False, seed=int(rng.integers(2**63)))
+        joint = gen_discrete_joint(_random_sizes(rng), ci=False, seed=int(rng.integers(2**63)))
         parts = _JointParts(joint)
         dep_gaps.append(parts.report(true_conditional(joint)).gap_lhs - 1e-6)
         q = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
@@ -465,7 +466,7 @@ def run_verify(
     # on the remaining cells; the biconditional must still hold there.
     sparse_ci, sparse_dep = [], []
     for _ in range(n_sparse):
-        sizes = _random_sizes(rng, max_size)
+        sizes = _random_sizes(rng)
         joint = _sparse_ci_joint(rng, sizes)
         q = _support_conditional(rng, joint)
         sparse_ci.append(-abs(gap_report(joint, q).gap_lhs))

@@ -38,13 +38,13 @@ data of criterion 7 and at stronger-signal operating points.
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from ciforge.bench import BenchmarkConfig, roc_auc, run_benchmark, run_relations
+from ciforge.bench import BenchmarkConfig, Case, relation_cases, roc_auc, run_benchmark, run_cases
 from ciforge.classify import GbtConfig, _logloss, _sigmoid, fit_boosted_trees
 from ciforge.core import Column, Relation, derive_rng
 from ciforge.datagen import (
@@ -54,7 +54,7 @@ from ciforge.datagen import (
     sample_discrete,
 )
 from ciforge.oracle import run_verify
-from ciforge.testkit import TestConfig, child_seed, ci_test
+from ciforge.testkit import TestConfig, child_seed
 
 pytestmark = pytest.mark.acceptance
 
@@ -148,34 +148,30 @@ def test_criterion_2_zero_gap_iff_ci(battery):
     assert ok
 
 
-def _null_job(args):
-    kind, i = args
+def _null_case(kind, i):
     if kind == "disc":
         joint = gen_discrete_joint((3, 3, 3), ci=True, seed=child_seed(ACC_SEED, f"acc3-joint-{i}"))
-        ds = sample_discrete(joint, 6000, seed=child_seed(ACC_SEED, f"acc3-sample-{i}"))
+        make = partial(sample_discrete, joint, 6000, seed=child_seed(ACC_SEED, f"acc3-sample-{i}"))
     else:
-        ds = gen_postnonlinear(
-            PostNonlinearConfig(d_z=5, n=3000, ci=True, seed=child_seed(ACC_SEED, f"acc3-pnl-{i}"))
-        )
-    rep = ci_test(ds, TestConfig(seed=child_seed(ACC_SEED, f"acc3-test-{kind}-{i}"), alpha=0.05))
-    return rep.decision
+        pnl = PostNonlinearConfig(d_z=5, n=3000, ci=True, seed=child_seed(ACC_SEED, f"acc3-pnl-{i}"))
+        make = partial(gen_postnonlinear, pnl)
+    tester = TestConfig(seed=child_seed(ACC_SEED, f"acc3-test-{kind}-{i}"), alpha=0.05)
+    return Case({"kind": kind, "index": i, "truth": "CI"}, make, tester)
 
 
 def test_criterion_3_null_calibration():
     t0 = time.perf_counter()
-    jobs = [("disc", i) for i in range(50)] + [("pnl", i) for i in range(50)]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        decisions = list(pool.map(_null_job, jobs))
+    cases = [_null_case(kind, i) for kind in ("disc", "pnl") for i in range(50)]
+    rows = run_cases(cases, WORKERS)
     elapsed = time.perf_counter() - t0
-    rate = decisions.count("H1") / len(decisions)
-    h1_disc = sum(d == "H1" for (kind, _), d in zip(jobs, decisions) if kind == "disc")
-    h1_pnl = decisions.count("H1") - h1_disc
+    h1 = {kind: sum(r["decision"] == "H1" for r in rows if r["kind"] == kind) for kind in ("disc", "pnl")}
+    rate = sum(h1.values()) / len(rows)
     ok = rate <= 0.10 and elapsed < 1200.0
     report(
         "3 (null calibration, 100 H0 datasets, alpha=0.05)",
         ok,
-        f"rejection rate {rate:.3f} <= 0.10 ({decisions.count('H1')}/100: discrete {h1_disc}/50, "
-        f"pnl {h1_pnl}/50), {elapsed:.0f}s < 20min",
+        f"rejection rate {rate:.3f} <= 0.10 ({sum(h1.values())}/100: discrete {h1['disc']}/50, "
+        f"pnl {h1['pnl']}/50), {elapsed:.0f}s < 20min",
     )
     assert ok
 
@@ -305,19 +301,13 @@ def _structural_table(seed, n=2000):
     return names, np.column_stack([u, v, w, t]), {nm: Column(nm) for nm in names}
 
 
-def _relation_job(seed):
-    names, matrix, cols = _structural_table(seed)
-    rels = [Relation("u", "w", ("v",), "CI"), Relation("u", "t", ("v",), "NOTCI")]
-    rep = run_relations(names, matrix, cols, rels, TestConfig(seed=seed))
-    return rep.rows[0]["p_value"], rep.rows[1]["p_value"]
-
-
 def test_criterion_7_relation_driver_on_structural_graphs():
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        out = list(pool.map(_relation_job, range(20)))
+    rels = [Relation("u", "w", ("v",), "CI"), Relation("u", "t", ("v",), "NOTCI")]
+    cases = [c for seed in range(20) for c in relation_cases(*_structural_table(seed), rels, TestConfig(seed=seed))]
+    rows = run_cases(cases, WORKERS)
     elapsed = time.perf_counter() - t0
-    wins = sum(1 for p_ci, p_dep in out if p_ci > p_dep)
+    wins = sum(ci["p_value"] > dep["p_value"] for ci, dep in zip(rows[::2], rows[1::2]))
     ok = wins >= 16
     report(
         "7 (relation driver on structural graph data)",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ciforge.datagen import (
+    NOISE_VAR,
     NONLINEARITIES,
     DiscreteJoint,
     PostNonlinearConfig,
@@ -44,11 +45,11 @@ class TestPostNonlinear:
 
     def test_noise_variance_matches_config(self):
         """Empirical Var(eta) at n=1e5 within 3 sigma of the sampling error."""
-        cfg = PostNonlinearConfig(d_z=2, n=100_000, ci=True, noise_var=0.25, seed=12)
+        cfg = PostNonlinearConfig(d_z=2, n=100_000, ci=True, seed=12)
         _, _, _, eta1, eta2, f1, f2 = _pnl_draws(cfg)
-        three_sigma = 3.0 * 0.25 * np.sqrt(2.0 / cfg.n)
-        assert abs(eta1.var() - 0.25) < three_sigma
-        assert abs(eta2.var() - 0.25) < three_sigma
+        three_sigma = 3.0 * NOISE_VAR * np.sqrt(2.0 / cfg.n)
+        assert abs(eta1.var() - NOISE_VAR) < three_sigma
+        assert abs(eta2.var() - NOISE_VAR) < three_sigma
         assert f1 in NONLINEARITIES and f2 in NONLINEARITIES
 
     def test_draws_assemble_into_output(self):
@@ -62,8 +63,6 @@ class TestPostNonlinear:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PostNonlinearConfig(d_z=0, n=10, ci=True)
-        with pytest.raises(ValueError):
-            PostNonlinearConfig(d_z=1, n=10, ci=True, noise_var=0.0)
 
 
 class TestDiscreteJoint:

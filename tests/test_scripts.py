@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts on tiny inputs."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -96,6 +97,22 @@ def test_sweeps_share_report_keys(grid):
     ):
         for row in rows:
             assert set(row) == naming | report_keys
+
+
+def test_only_run_cases_starts_worker_processes():
+    """Every sweep runs through ``bench.run_cases``: no other file under src/,
+    scripts/ or tests/ imports a process-pool module, so no sweep keeps its
+    own pool, seed labels or row fields."""
+    offenders = []
+    for path in sorted(p for d in ("src", "scripts", "tests") for p in (SCRIPTS.parent / d).rglob("*.py")):
+        if path == SCRIPTS.parent / "src" / "ciforge" / "bench.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                if any(m.split(".")[0] in ("concurrent", "multiprocessing") for m in modules):
+                    offenders.append(f"{path.relative_to(SCRIPTS.parent)}:{node.lineno}")
+    assert not offenders
 
 
 def test_power_benchmark(capsys):
