@@ -60,26 +60,63 @@ def bayes_error(p, q) -> float:
 def max_coupling_mass_lp(p, q) -> float:
     """Max probability of drawing equal values under any coupling of p and q.
 
-    Solved as an explicit linear program over the transportation polytope
-    (intended for tiny supports).  Cross-checks the closed form
-    sum_i min(p_i, q_i) independently of it.  scipy is imported here, at
-    its only use, so that ``import ciforge`` does not load its solvers.
+    The one-pair case of :func:`max_coupling_masses_lp`.
     """
-    from scipy.optimize import linprog
+    return max_coupling_masses_lp([(p, q)])[0]
 
-    p, q = _pmf_pair(p, q)
-    s = p.size
-    c = np.zeros(s * s)
-    c[:: s + 1] = -1.0  # maximize the diagonal mass
-    a_eq = np.zeros((2 * s, s * s))
-    for i in range(s):
-        a_eq[i, i * s : (i + 1) * s] = 1.0  # row sums -> p
-        a_eq[s + i, i::s] = 1.0  # column sums -> q
-    b_eq = np.concatenate([p, q])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+
+def max_coupling_masses_lp(pairs) -> list[float]:
+    """Max coupling mass of each (p, q) pair, from one linear program.
+
+    Each pair's coupling is a point of its transportation polytope (row sums
+    p, column sums q); its value is the largest diagonal mass.  This
+    cross-checks the closed form sum_i min(p_i, q_i) independently of it.
+    The pairs' programs share no variable or constraint, so their
+    block-diagonal stack, maximising the total diagonal mass, is optimal
+    exactly when each block is optimal on its own: one solve gives every
+    pair's value as its block's diagonal mass, without paying the solver's
+    fixed cost per pair.  Each pair is checked before the solve (equal sizes,
+    else ``SupportMismatch``; finite entries >= 0 and equal total masses,
+    else ``ValueError``), naming its index, since a failed stack could not
+    say which pair was at fault.  scipy is imported here, at its only use,
+    so that ``import ciforge`` does not load its solvers.
+    """
+    blocks, diagonals, b_eq, offset = [], [], [], 0
+    for k, (p, q) in enumerate(pairs):
+        try:
+            p, q = _pmf_pair(p, q)
+        except SupportMismatch as exc:
+            raise SupportMismatch(f"pair {k}: {exc}") from None
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError(f"pair {k}: pmfs must be non-empty vectors, got shape {p.shape}")
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ValueError(f"pair {k}: pmf entries must be finite")
+        if (p < 0).any() or (q < 0).any():
+            raise ValueError(f"pair {k}: pmf entries must be >= 0")
+        if abs(p.sum() - q.sum()) > SUM_TOL:
+            raise ValueError(f"pair {k}: total masses differ: {p.sum()!r} vs {q.sum()!r}")
+        s = p.size
+        a_eq = np.zeros((2 * s, s * s))
+        for i in range(s):
+            a_eq[i, i * s : (i + 1) * s] = 1.0  # row sums -> p
+            a_eq[s + i, i::s] = 1.0  # column sums -> q
+        blocks.append(a_eq)
+        diagonals.append(offset + np.arange(0, s * s, s + 1))
+        b_eq += [p, q]
+        offset += s * s
+    if not blocks:
+        return []
+
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
+    c = np.zeros(offset)
+    c[np.concatenate(diagonals)] = -1.0  # maximize the diagonal mass
+    a_eq = block_diag(blocks, format="csr")
+    res = linprog(c, A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"coupling LP failed: {res.message}")
-    return -float(res.fun)
+    return [float(res.x[diagonal].sum()) for diagonal in diagonals]
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -476,12 +513,14 @@ def run_verify(
     checks["sparse_dependence_gap"] = _check(sparse_dep, 0.0, "min", n_sparse)
 
     # Closed-form overlap vs an independent linear-program coupling solver.
-    lp_dev = []
+    pairs = []
     for _ in range(n_lp):
         s = int(rng.integers(2, 4))
         p = rng.dirichlet(np.ones(s))
         q = rng.dirichlet(np.ones(s))
-        lp_dev.append(abs(max_coupling_mass_lp(p, q) - float(np.minimum(p, q).sum())))
+        pairs.append((p, q))
+    masses = max_coupling_masses_lp(pairs)
+    lp_dev = [abs(mass - float(np.minimum(p, q).sum())) for mass, (p, q) in zip(masses, pairs)]
     checks["coupling_lp_crosscheck"] = _check(lp_dev, 1e-8, "max", n_lp)
 
     return {

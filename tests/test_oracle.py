@@ -21,6 +21,7 @@ from ciforge.core import derive_rng
 from ciforge.datagen import DiscreteJoint, gen_discrete_joint
 from ciforge.errors import InvalidConditional, SupportMismatch
 from ciforge.oracle import (
+    IDENTITY_TOL,
     GapReport,
     _JointParts,
     _sparse_ci_joint,
@@ -31,6 +32,7 @@ from ciforge.oracle import (
     gap_report,
     is_ci,
     max_coupling_mass_lp,
+    max_coupling_masses_lp,
     run_verify,
     true_conditional,
     tv_distance,
@@ -302,14 +304,64 @@ class TestUniformMimicBound:
 class TestCouplingLp:
     def test_matches_min_sum(self):
         rng = derive_rng(6, "lp")
+        pairs = []
         for _ in range(50):
             s = int(rng.integers(2, 4))
             p, q = rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))
             assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
+            pairs.append((p, q))
+        # On the verify battery's draws (supports of 2-3, Dirichlet(1)) the
+        # stacked program is bit-equal to each pair solved alone, which keeps
+        # the verify reports unchanged.
+        assert max_coupling_masses_lp(pairs) == [max_coupling_mass_lp(p, q) for p, q in pairs]
 
     def test_identical_distributions_couple_fully(self):
         p = np.array([0.3, 0.7])
         assert max_coupling_mass_lp(p, p) == pytest.approx(1.0, abs=1e-9)
+
+    def test_stacked_blocks_match_each_pair_solved_alone(self):
+        """The stacked program's blocks share nothing, so each value is its
+        pair's own optimum.  With supports up to 6, zero entries or equal
+        pairs, the solver may pivot through a degenerate block in another
+        order inside the stack, so the value may move by a few ulps."""
+        rng = derive_rng(7, "lp-stack")
+        pairs = []
+        for _ in range(40):
+            s = int(rng.integers(2, 7))
+            p, q = rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))
+            if rng.random() < 0.3:
+                p[rng.integers(s)] = 0.0
+                p /= p.sum()
+            pairs.append((p, p.copy() if rng.random() < 0.2 else q))
+        pairs += [
+            (np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.0])),
+            (np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+        ]
+        masses = max_coupling_masses_lp(pairs)
+        assert len(masses) == len(pairs)
+        for mass, (p, q) in zip(masses, pairs):
+            assert abs(mass - max_coupling_mass_lp(p, q)) <= IDENTITY_TOL
+            assert abs(mass - np.minimum(p, q).sum()) <= 1e-8
+        assert max_coupling_masses_lp([]) == []
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            ((np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])), SupportMismatch, "pair 1: support sizes differ"),
+            ((np.array([np.nan, 0.5]), np.array([0.5, 0.5])), ValueError, "pair 1: pmf entries must be finite"),
+            ((np.array([0.5, 0.5]), np.array([np.inf, 0.5])), ValueError, "pair 1: pmf entries must be finite"),
+            ((np.array([1.5, -0.5]), np.array([0.5, 0.5])), ValueError, "pair 1: pmf entries must be >= 0"),
+            ((np.array([0.5, 0.5]), np.array([0.5, 0.25])), ValueError, "pair 1: total masses differ"),
+            ((np.ones((2, 2)) / 4, np.ones((2, 2)) / 4), ValueError, "pair 1: pmfs must be non-empty vectors"),
+        ],
+    )
+    def test_bad_pair_in_a_batch_is_named(self, bad, error, match):
+        """A stack that failed could not say which pair was at fault, so each
+        pair is checked before the solve; the good pairs around it do not
+        hide it."""
+        good = (np.array([0.2, 0.8]), np.array([0.6, 0.4]))
+        with pytest.raises(error, match=match):
+            max_coupling_masses_lp([good, bad, good])
 
     def test_scipy_loads_only_when_the_lp_runs(self):
         """``import ciforge`` and its CLI load neither scipy nor the process
@@ -327,10 +379,29 @@ p, q = np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])
 assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
 assert "scipy.optimize" in sys.modules
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(script)
+
+    def test_battery_without_lp_loads_no_scipy(self):
+        """With no LP pair to solve, neither the battery nor the batched form
+        imports scipy."""
+        _run_fresh("""
+import sys
+from ciforge.oracle import max_coupling_masses_lp, run_verify
+report = run_verify(seed=1, n_gap_joints=3, n_ci=2, n_dep=2, n_pairs=5, n_sparse=2, n_lp=0)
+assert report["all_pass"]
+assert max_coupling_masses_lp([]) == []
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, sorted(loaded)[:8]
+""")
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
+    pytest process already holds scipy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_rejects_negative_counts():
