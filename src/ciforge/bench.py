@@ -42,6 +42,8 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    if not np.isin(y, (0, 1)).all() or np.isnan(s).any():
+        raise ValueError("labels must be 0 or 1, and scores must not be NaN")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -41,7 +41,9 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   order; a zero denominator, which Python refuses, is divided by numpy
   instead, so 0/0 is still NaN and x/0 inf;
 * rows with equal features fall in the same leaf of every tree, so they
-  share a margin.  Trees are grown on one row per group, and each round
+  share a margin.  ``_canonical_order`` sorts them together and
+  ``_row_groups`` numbers each run (the mimic groups its z rows with the
+  same two).  Trees are grown on one row per group, and each round
   evaluates the sigmoid, the margin-only part of the loss, the backoff and
   the validation prediction once per group.  A group of c rows with label
   sum s and probability p has gradient c*p - s and hessian c*p*(1 - p):
@@ -159,17 +161,12 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    depth: int = field(init=False)
+    #: Splits on the longest root-to-leaf path.
+    depth: int
     #: ``predict``'s routing: leaves read feature 0 and route to themselves.
     _route: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        def walk(node: int) -> int:
-            if self.feature[node] < 0:
-                return 0
-            return 1 + max(walk(self.left[node]), walk(self.right[node]))
-
-        self.depth = walk(0)
         leaf = self.feature < 0
         ids = np.arange(self.feature.size)
         self._route = (
@@ -250,19 +247,20 @@ class _TreeBuilder:
         nodes: list[list] = []
         row_values = np.empty(self.f_t.shape[1])
         self._grow(np.arange(self.f_t.shape[1]), None, self.order, 0, g, h, nodes, row_values)
-        feature, threshold, left, right, value = zip(*nodes)
+        feature, threshold, left, right, value, depth = zip(*nodes)
         tree = Tree(
             np.asarray(feature, dtype=np.int32),
             np.asarray(threshold),
             np.asarray(left, dtype=np.int32),
             np.asarray(right, dtype=np.int32),
             np.asarray(value),
+            max(depth),
         )
         return tree, row_values
 
     def _grow(self, rows, key, order, depth, g, h, nodes, row_values) -> int:
         """Append the subtree of one node to ``nodes`` (each entry is feature,
-        threshold, left, right, value) and return its index.
+        threshold, left, right, value, depth) and return its index.
 
         ``key`` is ``rows.tobytes()`` when the parent's remembered children
         hold it, else None.  ``order`` is the node's rows in every feature's sorted order,
@@ -295,15 +293,15 @@ class _TreeBuilder:
         if split is None:
             v = -g_sum / (h_sum + L2) * LEARNING_RATE
             row_values[rows] = v
-            nodes.append([-1, 0.0, -1, -1, v])
+            nodes.append([-1, 0.0, -1, -1, v, depth])
             return node
         j, thr = split
-        nodes.append([j, thr, -1, -1, 0.0])
+        nodes.append([j, thr, -1, -1, 0.0, depth])
         known = None if kept is None else kept.children.get(split)
+        order_left = order_right = None
         if known is not None:
             key_left, key_right = known
             rows_left, rows_right = np.frombuffer(key_left, np.intp), np.frombuffer(key_right, np.intp)
-            order_left = order_right = None
         else:
             go_left = self.f_t[j] <= thr
             # A stable partition keeps each feature's sorted order, and every
@@ -311,7 +309,6 @@ class _TreeBuilder:
             # (np.compress is much faster than boolean indexing here.)
             left_mask = go_left[rows]
             rows_left, rows_right = np.compress(left_mask, rows), np.compress(~left_mask, rows)
-            order_left = order_right = None
             if order is not None and depth + 1 < MAX_DEPTH:  # leaves need only their rows
                 order_mask = go_left[order].ravel()
                 order_left = np.compress(order_mask, order).reshape(order.shape[0], rows_left.size)
@@ -341,19 +338,8 @@ class _TreeBuilder:
         return True
 
     def _best_split(self, order, g, h, g_sum, h_sum):
-        """Best (feature, threshold) of one node, or None; ``order`` is (d, m)."""
-        best = self._best_cut(order, g, h, g_sum, h_sum)
-        if best is None:
-            return None
-        j, k = best
-        lo, hi = self.f_t[j, order[j, k]], self.f_t[j, order[j, k + 1]]
-        thr = 0.5 * (lo + hi)
-        if thr >= hi:  # midpoint rounded up to the right value
-            thr = lo
-        return j, float(thr)
-
-    def _best_cut(self, order, g, h, g_sum, h_sum):
-        """(feature, sorted position) of the best cut, scoring every cell."""
+        """Best (feature, threshold) of one node, or None, scoring every
+        cell; ``order`` is (d, m)."""
         # Column k is the cut between sorted positions k and k + 1; the last
         # column has no right side.  A tie-free feature has a boundary at
         # every cut, so only the tied ones gather their values.
@@ -375,14 +361,18 @@ class _TreeBuilder:
         if not wins.any():
             return None
         j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
-        return j, int(cut[j])
+        lo, hi = self.f_t[j, order[j, cut[j]]], self.f_t[j, order[j, cut[j] + 1]]
+        thr = 0.5 * (lo + hi)
+        if thr >= hi:  # midpoint rounded up to the right value
+            thr = lo
+        return j, float(thr)
 
     def _boundary_split(self, layout, g, h, g_sum, h_sum):
         """``_best_split`` of a node of an all-tied matrix, from its layout:
         only the cuts between distinct values are scored."""
         if layout.flat.size == 0:  # every feature constant in the node
             return None
-        # The sequential cumsums of _best_cut, up to the last boundary only:
+        # The sequential cumsums of _best_split, up to the last boundary only:
         # a prefix of a cumsum is the cumsum of the prefix.
         gl = g[layout.head]
         np.cumsum(gl, axis=1, out=gl)
@@ -396,10 +386,10 @@ class _TreeBuilder:
         else:
             gain = self._gain(gl, hl, True, g_sum, h_sum)
             nan = np.isnan(gain)
-            if nan.any():  # a NaN gain rules out its whole feature, as in _best_cut
+            if nan.any():  # a NaN gain rules out its whole feature, as in _best_split
                 np.copyto(gain, -np.inf, where=np.isin(layout.feature, layout.feature[nan]))
             # The first max in feature-major order is the first max of the first
-            # feature whose best gain is the largest: both tie-breaks of _best_cut.
+            # feature whose best gain is the largest: both tie-breaks of _best_split.
             k = int(np.argmax(gain))
             if not gain[k] > _GAIN_EPS:
                 return None
@@ -453,11 +443,11 @@ def _best_cell(gl: list, hl: list, feature: np.ndarray, g_sum: float, h_sum: flo
         if gain != gain:
             nan.append(k)
         gains.append(gain)
-    if nan:  # a NaN gain rules out its whole feature, as in _best_cut
+    if nan:  # a NaN gain rules out its whole feature, as in _best_split
         ruled_out = set(feature[nan].tolist())
         gains = [-np.inf if j in ruled_out else gain for j, gain in zip(feature.tolist(), gains)]
     # The first max in feature-major order is the first max of the first
-    # feature whose best gain is the largest: both tie-breaks of _best_cut.
+    # feature whose best gain is the largest: both tie-breaks of _best_split.
     best, best_k = _GAIN_EPS, -1
     for k, gain in enumerate(gains):
         if gain > best:
@@ -489,7 +479,7 @@ def _logloss(margin: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None) 
 
 
 def _canonical_order(f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row order by features, then label: equal feature rows end up adjacent."""
+    """Lexicographic row order by features, then ``y``: equal feature rows end up adjacent."""
     return np.lexsort((y,) + tuple(f[:, j] for j in range(f.shape[1] - 1, -1, -1)))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .bench import BenchmarkConfig, run_benchmark, run_relations, write_scores_csv
@@ -80,14 +80,7 @@ def _cmd_gen(args) -> int:
     if args.kind == "pnl":
         cfg = PostNonlinearConfig(d_z=args.d_z, n=args.n, ci=args.ci, a_xy=args.a_xy, seed=args.seed)
         ds = gen_postnonlinear(cfg)
-        manifest = {
-            "kind": "pnl",
-            "n": args.n,
-            "d_z": args.d_z,
-            "ci": args.ci,
-            "a_xy": args.a_xy,
-            "seed": args.seed,
-        }
+        manifest = {"kind": "pnl", **asdict(cfg)}
     else:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         joint = gen_discrete_joint(sizes, ci=args.ci, seed=args.seed)

@@ -74,6 +74,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_index(rows) -> np.ndarray:
+    """``rows`` as an index array; booleans and fractions are refused, not cast."""
+    idx = np.asarray(rows)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"row selectors must be integers, got {idx.dtype}")
+    return idx.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n rows of (x, y, z) blocks with per-column kind.
@@ -142,8 +150,7 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """Row subset (copy), preserving the order given in ``rows``."""
-        idx = np.asarray(rows, dtype=np.intp)
-        return replace(self, data=self.data[idx])
+        return replace(self, data=self.data[_row_index(rows)])
 
     def with_y(self, values: np.ndarray) -> "Dataset":
         """Replace the y block, keeping the y column descriptors."""
@@ -177,7 +184,7 @@ class LabeledDataset:
         return self.base.n_rows
 
     def take(self, rows) -> "LabeledDataset":
-        idx = np.asarray(rows, dtype=np.intp)
+        idx = _row_index(rows)
         return LabeledDataset(self.base.take(idx), self.labels[idx])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Column, Dataset, derive_rng
+from .core import Column, Dataset, derive_rng, require_number
 from .errors import SizeOutOfRange
 
 NONLINEARITIES = ("identity", "square", "cube", "tanh", "expneg")
@@ -55,10 +55,13 @@ class PostNonlinearConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_z < 1:
-            raise ValueError("d_z must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        for name in ("d_z", "n"):
+            if require_number(name, getattr(self, name), integer=True) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        require_number("a_xy", self.a_xy)
+        require_number("seed", self.seed, integer=True)
+        if not isinstance(self.ci, bool):
+            raise ValueError(f"ci must be a bool, got {self.ci!r}")
 
 
 def _pnl_draws(cfg: PostNonlinearConfig):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import FeatureEncoder
+from .classify import FeatureEncoder, _canonical_order, _row_groups
 from .core import Column, Dataset, derive_rng
 from .errors import SchemaMismatch, TooFewRows
 
@@ -36,9 +36,10 @@ class MimicModel:
     """The fit fold's y rows, looked up by nearest standardized z.
 
     ``cells`` holds the distinct standardized z rows of the fit fold in
-    ``np.unique`` order, transposed to (features, cells); ``y_rows`` holds
-    the fit fold's y rows grouped by cell in that order, ``counts[k]`` of
-    them for cell k, each group in fit-fold row order.
+    lexicographic order, grouped as the booster groups equal rows
+    (``classify._row_groups``), transposed to (features, cells); ``y_rows``
+    holds the fit fold's y rows grouped by cell in that order, ``counts[k]``
+    of them for cell k, each group in fit-fold row order.
     """
 
     y_cols: tuple[Column, ...]
@@ -94,17 +95,19 @@ def fit_reg_mimic(d2: Dataset) -> MimicModel:
     center = zf.mean(axis=0)
     scale = zf.std(axis=0)
     scale[np.ptp(zf, axis=0) == 0] = 1.0
-    cells, inv, counts = np.unique((zf - center) / scale, axis=0, return_inverse=True, return_counts=True)
-    by_cell = np.argsort(inv.reshape(-1), kind="stable")  # inv's shape under axis= differs across numpy 2.x
+    zs = (zf - center) / scale
+    # Ties keep fit-fold order, and the position is a sort key even with no z.
+    order = _canonical_order(zs, np.arange(d2.n_rows))
+    first, cell = _row_groups(zs, order)
     return MimicModel(
         d2.y_cols,
         d2.z_cols,
         encoder,
         center,
         scale,
-        np.ascontiguousarray(cells.T),
-        counts,
-        d2.y_block()[by_cell],
+        np.ascontiguousarray(zs[first].T),
+        np.bincount(cell),
+        d2.y_block()[order],
     )
 
 

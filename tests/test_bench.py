@@ -73,6 +73,19 @@ class TestRocAuc:
         with pytest.raises(SingleClass):
             roc_auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [([0.1, 0.9, 0.5], [0, 1, 2]), ([0.1, 0.9, 0.5], [0, 1, -1]), ([0.1, 0.9, np.nan], [0, 1, 0])],
+    )
+    def test_bad_label_or_nan_score_rejected(self, scores, labels):
+        with pytest.raises(ValueError):
+            roc_auc(scores, labels)
+
+    def test_bool_labels_and_infinite_scores_work(self):
+        assert roc_auc([0.1, 0.9, 0.5], [False, True, False]) == 1.0
+        assert roc_auc([-np.inf, np.inf, 0.5], [0, 1, 0]) == 1.0
+        assert roc_auc([np.inf, np.inf, 0.2], [1, 0, 0]) == 0.75
+
 
 def tiny_bench_config(**kw):
     defaults = dict(

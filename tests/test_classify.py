@@ -450,6 +450,7 @@ def reference_build(f, g, h, consts):
     l2, min_child_weight = consts["L2"], consts["MIN_CHILD_WEIGHT"]
     order = [np.argsort(f[:, j], kind="stable") for j in range(f.shape[1])]
     feature, threshold, left, right, value = [], [], [], [], []
+    deepest = 0
 
     def best_split(mask, g_sum, h_sum):
         parent = g_sum * g_sum / (h_sum + l2)
@@ -479,6 +480,8 @@ def reference_build(f, g, h, consts):
         return best
 
     def grow(mask, depth):
+        nonlocal deepest
+        deepest = max(deepest, depth)
         g_sum, h_sum = float(g[mask].sum()), float(h[mask].sum())
         split = None if depth >= max_depth else best_split(mask, g_sum, h_sum)
         node = len(feature)
@@ -505,6 +508,7 @@ def reference_build(f, g, h, consts):
         np.asarray(left, dtype=np.int32),
         np.asarray(right, dtype=np.int32),
         np.asarray(value),
+        deepest,
     )
 
 
@@ -587,6 +591,7 @@ def assert_same_tree(a, b):
     for name in ("feature", "threshold", "left", "right", "value"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.depth == b.depth, "depth"
 
 
 class TestTreeBuilder:

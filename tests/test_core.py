@@ -142,6 +142,19 @@ class TestDatasetValidation:
             Column("z_0", "categorical", cardinality)
         assert Column("z_0", "categorical", np.int64(3)).cardinality == 3
 
+    @pytest.mark.parametrize("rows", [np.array([True, False, True]), [0.9, 2.2], [0.0, 1.0]])
+    def test_take_refuses_non_integer_rows(self, rows):
+        ds = make_dataset(n=3)
+        with pytest.raises(ValueError):
+            ds.take(rows)
+        with pytest.raises(ValueError):
+            LabeledDataset(ds, np.ones(3, dtype=int)).take(rows)
+
+    def test_take_accepts_an_empty_list(self):
+        ds = make_dataset(n=3)
+        assert ds.take([]).n_rows == 0
+        assert LabeledDataset(ds, np.ones(3, dtype=int)).take([]).n_rows == 0
+
 
 class TestCsvRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):

@@ -64,6 +64,26 @@ class TestPostNonlinear:
         with pytest.raises(ValueError):
             PostNonlinearConfig(d_z=0, n=10, ci=True)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"d_z": 2.5},
+            {"d_z": True},
+            {"n": True},
+            {"n": 0},
+            {"n": 10.0},
+            {"a_xy": "2"},
+            {"a_xy": True},
+            {"seed": 1.5},
+            {"seed": None},
+            {"ci": "no"},
+            {"ci": 1},
+        ],
+    )
+    def test_config_field_types(self, bad):
+        with pytest.raises(ValueError):
+            PostNonlinearConfig(**{"d_z": 2, "n": 10, "ci": True, **bad})
+
 
 class TestDiscreteJoint:
     def test_ci_construction_is_exactly_ci(self):

@@ -109,6 +109,28 @@ class TestFitRegMimic:
         assert model.scale[1] == 1.0 and model.center[1] == 4.0
         assert model.scale[0] == pytest.approx(ds.z_block()[:, 0].std(), rel=1e-12)
 
+    def test_empty_z_is_one_cell(self):
+        """With no z columns every fit row is in the one cell, in fit-fold order."""
+        ds = yz_dataset(n=50, n_z=0, link="independent", seed=7)
+        model = fit_reg_mimic(ds)
+        assert model.cells.shape == (0, 1)
+        assert model.counts.tolist() == [50]
+        assert np.array_equal(model.y_rows, ds.y_block())
+
+    def test_cells_in_np_unique_order(self):
+        """Distinct standardized z rows in ``np.unique(axis=0)``'s order, and
+        each cell's y rows in fit-fold order."""
+        rng = derive_rng(9, "mimic-cells")
+        z = np.column_stack([rng.integers(0, 3, 300), rng.choice([-1.5, 0.25, 2.0], 300)]).astype(np.float64)
+        y = rng.standard_normal(300)
+        ds = Dataset((), (Column("y_0"),), (Column("z_0", "categorical", 3), Column("z_1")), np.column_stack([y, z]))
+        model = fit_reg_mimic(ds)
+        zs = (model.encoder.transform(z) - model.center) / model.scale
+        cells, inv, counts = np.unique(zs, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(model.cells, cells.T)
+        assert np.array_equal(model.counts, counts)
+        assert np.array_equal(model.y_rows[:, 0], y[np.argsort(inv.reshape(-1), kind="stable")])
+
 
 class TestDraw:
     @settings(max_examples=60, deadline=None)
