@@ -19,27 +19,27 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
 * a feature with no repeated value among all training rows has none among
   a node's rows, so every cut of it lies between distinct values and only
   features with repeats gather their values to find the boundaries;
-* when every feature has repeats (one-hot data), few cuts lie between
-  distinct values, and the same few row sets come back round after round.
-  Each fit's builder keeps a memo keyed by the bytes of a node's ascending
-  rows: the node's layout (the sorted rows of its features up to their
-  last boundary, each boundary cell and its threshold) and the rows of the
-  children of every split taken there.  A remembered node only gathers and
-  cumsums g and h over that head and scores its boundary cells; a
-  remembered split skips the partition.  That is bit-identical to scoring
-  every cell: the layout is a pure function of the row set, a prefix of a
-  cumsum is the cumsum of the prefix, each gain is the same IEEE
-  operations on the same sums, one argmax over the cells in feature-major
-  order is the first maximum within and then across features, and a NaN
-  gain still rules out its whole feature.  The memo holds at most
-  ``MEMO_CAP`` index cells per cell of the presorted order; past that,
-  nodes are scored as new ones and not stored;
-* a node with at most ``SCALAR_CELLS`` boundary cells (every one-hot node)
-  scores them in a Python loop, which costs less than numpy's fixed cost
-  per call on a few values.  It is bit-identical to ``_gain``: Python
-  floats are IEEE doubles, and each gain is the same operations in the same
-  order; a zero denominator, which Python refuses, is divided by numpy
-  instead, so 0/0 is still NaN and x/0 inf;
+* when every feature holds at most two distinct values (one-hot data), a
+  node has at most one cut per feature between distinct values, and the
+  same few row sets come back round after round.  Each fit's builder keeps
+  a memo keyed by the bytes of a node's ascending rows: the node's layout
+  (the sorted rows of its features up to their boundary, each boundary
+  cell and its threshold) and the rows of the children of every split
+  taken there.  A remembered node only gathers and cumsums g and h over
+  that head and scores its few boundary cells in a Python loop, which
+  costs less than numpy's fixed cost per call; a remembered split skips
+  the partition.  That is bit-identical to scoring every cell: the layout
+  is a pure function of the row set, a prefix of a cumsum is the cumsum of
+  the prefix, each gain is ``_gain``'s IEEE operations in the same order
+  on the same sums (Python floats are IEEE doubles, and a zero
+  denominator, which Python refuses, is divided by numpy instead, so 0/0
+  is still NaN and x/0 inf), the first maximum over the cells in feature
+  order keeps both tie-breaks, and a NaN gain rules out its feature's one
+  cell.  The memo holds at most ``MEMO_CAP`` index cells per cell of the
+  presorted order; past that, nodes are scored as new ones and not stored.
+  Features with more values (mixture-shaped, rounded or ordinal) give new
+  row sets round after round, and there the memo cost as much as the
+  dense search or more, so those matrices take the dense search;
 * rows with equal features fall in the same leaf of every tree, so they
   share a margin.  ``_canonical_order`` sorts them together and
   ``_row_groups`` numbers each run (the mimic groups its z rows with the
@@ -95,9 +95,6 @@ MIN_CHILD_WEIGHT = 1.0
 #: A builder's node memo holds at most this many index cells per cell of its
 #: presorted order; past it, nodes are scored without being remembered.
 MEMO_CAP = 48
-#: A node with at most this many boundary cells scores them in Python floats;
-#: past it, numpy's fixed cost per call is the cheaper one.
-SCALAR_CELLS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +189,7 @@ class Tree:
 
 
 class _Layout:
-    """The cut layout of one node of an all-tied matrix: a pure function of
+    """The cut layout of one node of a two-valued matrix: a pure function of
     the node's rows, kept across boosting rounds in ``_TreeBuilder.memo``."""
 
     __slots__ = ("head", "flat", "feature", "threshold", "children")
@@ -236,10 +233,12 @@ class _TreeBuilder:
         # Features with a repeated value; a node's rows are a subset of all
         # rows, so every other feature has no tie in any node.
         ranked = np.take_along_axis(self.f_t, self.order, axis=1)
-        self.tied = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=1))
-        # When every feature is tied, few row sets recur round after round:
-        # each one's layout is kept, keyed by the bytes of its ascending rows.
-        self.memo: dict[bytes, _Layout] | None = {} if self.tied.size == f.shape[1] else None
+        steps = np.count_nonzero(ranked[:, :-1] != ranked[:, 1:], axis=1)
+        self.tied = np.flatnonzero(steps < f.shape[0] - 1)
+        # When every feature holds at most two values, few row sets recur
+        # round after round: each one's layout is kept, keyed by the bytes
+        # of its ascending rows.
+        self.memo: dict[bytes, _Layout] | None = {} if (steps <= 1).all() else None
         self.memo_cells = 0
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
@@ -368,8 +367,8 @@ class _TreeBuilder:
         return j, float(thr)
 
     def _boundary_split(self, layout, g, h, g_sum, h_sum):
-        """``_best_split`` of a node of an all-tied matrix, from its layout:
-        only the cuts between distinct values are scored."""
+        """``_best_split`` of a node of a two-valued matrix, from its layout:
+        only the one cut of each feature between its two values is scored."""
         if layout.flat.size == 0:  # every feature constant in the node
             return None
         # The sequential cumsums of _best_split, up to the last boundary only:
@@ -378,21 +377,9 @@ class _TreeBuilder:
         np.cumsum(gl, axis=1, out=gl)
         hl = h[layout.head]
         np.cumsum(hl, axis=1, out=hl)
-        gl, hl = gl.ravel()[layout.flat], hl.ravel()[layout.flat]
-        if layout.flat.size <= SCALAR_CELLS:
-            k = _best_cell(gl.tolist(), hl.tolist(), layout.feature, g_sum, h_sum)
-            if k < 0:
-                return None
-        else:
-            gain = self._gain(gl, hl, True, g_sum, h_sum)
-            nan = np.isnan(gain)
-            if nan.any():  # a NaN gain rules out its whole feature, as in _best_split
-                np.copyto(gain, -np.inf, where=np.isin(layout.feature, layout.feature[nan]))
-            # The first max in feature-major order is the first max of the first
-            # feature whose best gain is the largest: both tie-breaks of _best_split.
-            k = int(np.argmax(gain))
-            if not gain[k] > _GAIN_EPS:
-                return None
+        k = _best_cell(gl.ravel()[layout.flat].tolist(), hl.ravel()[layout.flat].tolist(), g_sum, h_sum)
+        if k < 0:
+            return None
         return int(layout.feature[k]), float(layout.threshold[k])
 
     @staticmethod
@@ -420,37 +407,27 @@ class _TreeBuilder:
         return gain
 
 
-def _best_cell(gl: list, hl: list, feature: np.ndarray, g_sum: float, h_sum: float) -> int:
-    """``_boundary_split``'s choice among a few boundary cells, in Python
-    floats: the index of the first cell with the largest gain above
-    ``_GAIN_EPS``, or -1.  ``gl`` and ``hl`` are the cells' left sums and
-    ``feature`` their features, in feature-major order."""
-    # Each gain is _gain's IEEE operations in _gain's order.
+def _best_cell(gl: list, hl: list, g_sum: float, h_sum: float) -> int:
+    """``_boundary_split``'s choice among its boundary cells, one per
+    feature, in Python floats: the index of the first cell with the largest
+    gain above ``_GAIN_EPS``, or -1.  ``gl`` and ``hl`` are the cells' left
+    sums, in feature order."""
+    # Each gain is _gain's IEEE operations in _gain's order.  A NaN gain is
+    # never > best, so it rules out its feature's one cell, as in _best_split.
     l2, min_child_weight = L2, MIN_CHILD_WEIGHT
     parent = g_sum * g_sum / (h_sum + l2)
-    gains, nan = [], []
+    best, best_k = _GAIN_EPS, -1
     for k, (gl_k, hl_k) in enumerate(zip(gl, hl)):
         gr_k = g_sum - gl_k
         hr_k = h_sum - hl_k
         if not (hl_k >= min_child_weight and hr_k >= min_child_weight):
-            gains.append(-np.inf)
             continue
         try:
             gain = gl_k * gl_k / (hl_k + l2) + gr_k * gr_k / (hr_k + l2) - parent
         except ZeroDivisionError:  # numpy's IEEE quotient instead: 0/0 is NaN, x/0 inf
             with np.errstate(divide="ignore", invalid="ignore"):
                 gain = float(np.float64(gl_k * gl_k) / (hl_k + l2) + np.float64(gr_k * gr_k) / (hr_k + l2) - parent)
-        if gain != gain:
-            nan.append(k)
-        gains.append(gain)
-    if nan:  # a NaN gain rules out its whole feature, as in _best_split
-        ruled_out = set(feature[nan].tolist())
-        gains = [-np.inf if j in ruled_out else gain for j, gain in zip(feature.tolist(), gains)]
-    # The first max in feature-major order is the first max of the first
-    # feature whose best gain is the largest: both tie-breaks of _best_split.
-    best, best_k = _GAIN_EPS, -1
-    for k, gain in enumerate(gains):
-        if gain > best:
+        if gain > best:  # first max: the lowest feature wins ties
             best, best_k = gain, k
     return best_k
 

@@ -115,19 +115,19 @@ class TestReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def stratified_three_split(labels: np.ndarray, fractions, rng: np.random.Generator):
-    """Per-class shuffled index split; every part holds both classes."""
-    f_t, f_v, _ = fractions
+def stratified_three_split(labels: np.ndarray, rng: np.random.Generator):
+    """Per-class shuffled index split in the ``TVS`` fractions: of a class of
+    s >= 3 rows, floor(s/2) train, max(1, floor(s/4)) validate and the rest
+    (at least one) test, so every part holds both classes."""
+    f_t, f_v, _ = TVS
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in (0, 1):
         idx = np.nonzero(labels == cls)[0]
         if idx.size < 3:
             raise TooFewRows(f"class {cls} has {idx.size} rows; need >= 3 to stratify")
         idx = idx[rng.permutation(idx.size)]
-        n_t = max(1, int(np.floor(f_t * idx.size)))
+        n_t = int(np.floor(f_t * idx.size))
         n_v = max(1, int(np.floor(f_v * idx.size)))
-        if n_t + n_v >= idx.size:
-            n_t, n_v = idx.size - 2, 1
         parts[0].append(idx[:n_t])
         parts[1].append(idx[n_t : n_t + n_v])
         parts[2].append(idx[n_t + n_v :])
@@ -153,7 +153,7 @@ def ci_test(ds: Dataset, config: TestConfig = TestConfig()) -> TestReport:
     )
 
     rng = derive_rng(seed, "tvt-split")
-    idx_t, idx_v, idx_s = stratified_three_split(labeled.labels, TVS, rng)
+    idx_t, idx_v, idx_s = stratified_three_split(labeled.labels, rng)
     part_t, part_v, part_s = labeled.take(idx_t), labeled.take(idx_v), labeled.take(idx_s)
 
     f1 = gbt_train(strip_x(part_t), strip_x(part_v), config.gbt)

@@ -538,6 +538,14 @@ def make_column(kind, n, rng):
         return np.full(n, 2.5)
     if kind == "one_hot":
         return (rng.random(n) < 0.3).astype(np.float64)
+    if kind == "three_level":
+        return rng.integers(0, 3, n).astype(np.float64)
+    if kind == "rounded":
+        return np.round(rng.standard_normal(n), 1)
+    if kind == "ordinal":  # codes of a categorical column above ONE_HOT_CAP
+        return rng.integers(0, 40, n).astype(np.float64)
+    if kind == "mixture":  # zero-inflated normal: an atom at 0 of mass 0.4
+        return np.where(rng.random(n) < 0.4, 0.0, rng.standard_normal(n))
     # neighbouring floats whose midpoint rounds up to the larger one
     lo = np.nextafter(1.0, 2.0)
     return np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, 2.0))
@@ -638,24 +646,18 @@ class TestTreeBuilder:
         assert np.array_equal(row_values, reference_predict(tree, f))
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        split_problems(gradients=_GRADIENTS + ("saturated",)),
-        st.sampled_from((0, 10**9)),
-        st.booleans(),
-    )
-    def test_scalar_boundary_scoring_matches_per_feature_scan(self, problem, cutoff, zero_penalties):
-        """Boundary cells scored in Python floats (a cutoff above every
-        layout) or by ``_gain`` (cutoff 0) give the reference's tree.  With
-        L2 = MIN_CHILD_WEIGHT = 0 a gain can be 0/0 or x/0, which must be
-        NaN or inf, as in numpy, and a 0/0 leaf raises in both searches."""
+    @given(split_problems(gradients=_GRADIENTS + ("saturated",)), st.booleans())
+    def test_scalar_boundary_scoring_matches_per_feature_scan(self, problem, zero_penalties):
+        """Boundary cells scored in Python floats give the reference's tree.
+        With L2 = MIN_CHILD_WEIGHT = 0 a gain can be 0/0 or x/0, which must
+        be NaN or inf, as in numpy, and a 0/0 leaf raises in both searches."""
         f, g, h, consts = problem
         if zero_penalties:
             consts = {**consts, "L2": 0, "MIN_CHILD_WEIGHT": 0}
         builder = _TreeBuilder(f)
-        assume(builder.memo is not None)  # boundary scoring: every feature tied
+        assume(builder.memo is not None)  # boundary scoring: every feature two-valued
         with pytest.MonkeyPatch.context() as mp:
             patch_consts(mp, consts)
-            mp.setattr(classify, "SCALAR_CELLS", cutoff)
             try:
                 tree, row_values = builder.build(g, h)
             except ZeroDivisionError:
@@ -757,18 +759,29 @@ class TestTreeBuilder:
         ("logistic", 1.0, 1.0, 4),
     )
 
-    @pytest.mark.parametrize("levels", [3, 40], ids=["one_hot", "ordinal"])
-    def test_remembered_layouts_match_per_feature_scan(self, levels, monkeypatch):
-        """One builder reused for many rounds on an all-tied matrix gives the
-        trees of the reference and of a fresh builder, round after round.
-        Ordinal columns (more levels than ONE_HOT_CAP) cut one feature at
-        several thresholds, so a node's children depend on both."""
-        rng = derive_rng(35, f"memo-{levels}")
+    @pytest.mark.parametrize("kind", ["one_hot", "two_level"])
+    def test_remembered_layouts_match_per_feature_scan(self, kind, monkeypatch):
+        """One builder reused for many rounds on a two-valued matrix gives
+        the trees of the reference and of a fresh builder, round after round.
+        Two-level columns that are not one-hot each hold their own pair of
+        values, one pair of neighbouring floats whose midpoint threshold
+        falls back to the lower value."""
+        rng = derive_rng(35, "memo-3" if kind == "one_hot" else "memo-two-level")
         n = 1200
-        codes = rng.integers(0, levels, (n, 3))
-        f = FeatureEncoder((Column("a", "categorical", levels),) * 3).transform(codes)
-        effect = rng.standard_normal((3, levels))
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-effect[np.arange(3), codes].sum(axis=1)))).astype(np.float64)
+        if kind == "one_hot":
+            codes = rng.integers(0, 3, (n, 3))
+            f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
+            effect = rng.standard_normal((3, 3))
+            logit = effect[np.arange(3), codes].sum(axis=1)
+        else:
+            bits = rng.random((n, 6)) < rng.uniform(0.2, 0.8, 6)
+            lo = rng.standard_normal(6)
+            hi = lo + rng.uniform(0.5, 2.0, 6)
+            lo[0] = np.nextafter(1.0, 2.0)
+            hi[0] = np.nextafter(lo[0], 2.0)
+            f = np.where(bits, hi, lo)
+            logit = bits @ rng.standard_normal(6)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
         builder = _TreeBuilder(f)
         assert builder.memo is not None
         margin = np.zeros(n)
@@ -797,16 +810,16 @@ class TestTreeBuilder:
         assert len(builder.memo) < splits  # nodes were scored from remembered layouts
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
-        """Value-rich tied columns give new row sets every round: the memo
-        stops at MEMO_CAP cells per cell of the order, and the trees still
-        match the reference and an uncapped memo's."""
+        """Many binary columns with few repeated rows give new row sets every
+        round: the memo stops at MEMO_CAP cells per cell of the order, and
+        the trees still match the reference and an uncapped memo's."""
         rng = derive_rng(36, "memo-cap")
         n = 600
-        f = np.round(rng.standard_normal((n, 6)), 2)
+        f = (rng.random((n, 12)) < 0.5).astype(np.float64)
         capped, uncapped = _TreeBuilder(f), _TreeBuilder(f)
         assert capped.memo is not None
         cap = classify.MEMO_CAP * capped.order.size
-        for _ in range(25):
+        for _ in range(60):
             g, h = rng.standard_normal(n), np.ones(n)
             tree, row_values = capped.build(g, h)
             assert capped.memo_cells <= cap
@@ -817,6 +830,39 @@ class TestTreeBuilder:
             assert_same_tree(tree, free)
             assert np.array_equal(row_values, free_values)
         assert uncapped.memo_cells > cap >= capped.memo_cells
+
+    # Columns with at most two values, against columns with more.
+    @pytest.mark.parametrize(
+        "kinds, remembered",
+        [
+            (("one_hot", "constant", "adjacent", "one_hot"), True),
+            (("one_hot", "three_level", "adjacent"), False),
+            (("one_hot", "ties", "adjacent"), False),
+            (("one_hot", "rounded", "constant"), False),
+            (("one_hot", "ordinal", "adjacent"), False),
+            (("one_hot", "mixture", "constant"), False),
+        ],
+        ids=["two_valued", "three_valued", "ties", "rounded", "ordinal", "mixture"],
+    )
+    def test_memo_only_for_two_valued_features(self, kinds, remembered):
+        """A builder remembers layouts exactly when every column holds at most
+        two distinct values, and either way its trees are the reference's
+        round after round."""
+        rng = derive_rng(37, "memo-gate")
+        n = 300
+        f = np.column_stack([make_column(k, n, rng) for k in kinds])
+        assert (max(np.unique(col).size for col in f.T) <= 2) == remembered
+        builder = _TreeBuilder(f)
+        assert (builder.memo is not None) == remembered
+        y = (f[:, 0] + f[:, 1] + rng.standard_normal(n) > 0.8).astype(np.float64)
+        margin = np.zeros(n)
+        for _ in range(4):
+            p = 1.0 / (1.0 + np.exp(-margin))
+            g, h = p - y, p * (1.0 - p)
+            tree, row_values = builder.build(g, h)
+            assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
+            assert np.array_equal(row_values, reference_predict(tree, f))
+            margin += row_values
 
 
 class TestGoldenReports:

@@ -421,12 +421,16 @@ def test_verify_battery_small():
     assert report["checks"]["mass_form_as_lower_bound"]["gating"] is False
 
 
-# sha256 of the default battery's report without its wall-clock ``elapsed_s``,
-# as json.dumps(..., sort_keys=True) writes it.  Seed 1903 is the acceptance
-# suite's.  A change that only stops recomputing values keeps these digests.
+# sha256 of the default battery's report without its wall-clock ``elapsed_s``
+# and without the LP cross-check's ``worst_slack``, as json.dumps(...,
+# sort_keys=True) writes it.  Seed 1903 is the acceptance suite's.  A change
+# that only stops recomputing values keeps these digests.  The LP slack is a
+# ~1e-16 residual of the solver's floating-point pivots, which a scipy release
+# may reorder, so it is held to a bound instead; that check's pass, n, tol and
+# gating stay in the digest.
 VERIFY_DIGESTS = {
-    0: "ee30b4cdbf2a7a7f960ddd8d60d1c8b05a7fd66d24522287a3722f4fba5c4a95",
-    1903: "dc0469efca6b2099e7cbad5338381c768bb6b17c9db9c3fa62a0f0f94cc41f80",
+    0: "706a96bae3696bbf261aa17b7a72f1aafc5f77dc760811e399e7a2a108ebafcc",
+    1903: "4e38f038a931d19031ed8093bc9784c7f116f9df7ae37032e8815f7958992692",
 }
 
 
@@ -434,5 +438,7 @@ VERIFY_DIGESTS = {
 def test_default_verify_report_is_pinned(seed):
     report = run_verify(seed=seed)
     del report["elapsed_s"]
+    lp_slack = report["checks"]["coupling_lp_crosscheck"].pop("worst_slack")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_DIGESTS[seed]
+    assert 0.0 <= lp_slack <= 1e-12

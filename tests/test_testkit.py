@@ -54,15 +54,30 @@ class TestStratifiedSplit:
     def test_both_classes_everywhere(self):
         rng = derive_rng(0, "strat")
         labels = (np.arange(40) % 2).astype(np.int8)
-        for part in stratified_three_split(labels, (0.5, 0.25, 0.25), rng):
+        for part in stratified_three_split(labels, rng):
             assert {0, 1} <= set(labels[part])
 
     def test_partition(self):
         rng = derive_rng(1, "strat2")
         labels = np.concatenate([np.zeros(33, dtype=np.int8), np.ones(21, dtype=np.int8)])
-        parts = stratified_three_split(labels, (0.5, 0.25, 0.25), rng)
+        parts = stratified_three_split(labels, rng)
         joined = np.concatenate(parts)
         assert sorted(joined) == list(range(54))
+
+    def test_part_sizes_for_every_small_class(self):
+        """A class of s rows gives floor(s/2) train, max(1, floor(s/4))
+        validation and the rest test rows, and every part holds both
+        classes, for every pair of class sizes from 3 to 60."""
+        rng = derive_rng(2, "strat-sizes")
+        for s0 in range(3, 61):
+            for s1 in range(3, 61):
+                labels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.int8), [s0, s1]))
+                parts = stratified_three_split(labels, rng)
+                assert sorted(np.concatenate(parts)) == list(range(s0 + s1))
+                for cls, s in ((0, s0), (1, s1)):
+                    sizes = [int((labels[part] == cls).sum()) for part in parts]
+                    assert sizes == [s // 2, max(1, s // 4), s - s // 2 - max(1, s // 4)]
+                    assert min(sizes) >= 1
 
 
 def small_h0_dataset(n=240, seed=0):
