@@ -5,7 +5,9 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
 
 * candidate thresholds sit between consecutive distinct sorted values, so
   tied feature values can never be separated and training is invariant to
-  row permutations;
+  row permutations; a threshold is the two values' midpoint, or the lower
+  value where the midpoint rounds onto the upper one or their sum
+  overflows, so a split always sends rows both ways;
 * ties in gain break toward the lowest feature index, then the lowest
   threshold, making every fit bit-deterministic;
 * rows are argsorted once per feature.  Each node carries a (features,
@@ -20,26 +22,30 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   a node's rows, so every cut of it lies between distinct values and only
   features with repeats gather their values to find the boundaries;
 * when every feature holds at most two distinct values (one-hot data), a
-  node has at most one cut per feature between distinct values, and the
-  same few row sets come back round after round.  Each fit's builder keeps
-  a memo keyed by the bytes of a node's ascending rows: the node's layout
-  (the sorted rows of its features up to their boundary, each boundary
-  cell and its threshold) and the rows of the children of every split
-  taken there.  A remembered node only gathers and cumsums g and h over
-  that head and scores its few boundary cells in a Python loop, which
-  costs less than numpy's fixed cost per call; a remembered split skips
-  the partition.  That is bit-identical to scoring every cell: the layout
-  is a pure function of the row set, a prefix of a cumsum is the cumsum of
-  the prefix, each gain is ``_gain``'s IEEE operations in the same order
-  on the same sums (Python floats are IEEE doubles, and a zero
-  denominator, which Python refuses, is divided by numpy instead, so 0/0
-  is still NaN and x/0 inf), the first maximum over the cells in feature
-  order keeps both tie-breaks, and a NaN gain rules out its feature's one
-  cell.  The memo holds at most ``MEMO_CAP`` index cells per cell of the
-  presorted order; past that, nodes are scored as new ones and not stored.
-  Features with more values (mixture-shaped, rounded or ordinal) give new
-  row sets round after round, and there the memo cost as much as the
-  dense search or more, so those matrices take the dense search;
+  feature's one cut lies between its two values, so its threshold is
+  fixed for the fit, no node needs sorted orders, and the same few row
+  sets come back round after round.  Each fit's builder keeps a memo
+  keyed by the bytes of a node's ascending rows: the node's layout (the
+  features that take both values there, and a mask of its rows at each
+  one's lower value) and the rows of the children of every split taken
+  there.  A node's left sums are row-wise cumsums of its g and h with
+  each row off the mask replaced by +0.0, and its few cuts are scored in
+  a Python loop, which costs less than numpy's fixed cost per call; a
+  remembered split skips the partition.  That is bit-identical to scoring
+  every cell: the layout is a pure function of the row set; the cumsum
+  adds the lower value's rows in row order, the order of the stable sort;
+  adding +0.0 changes no sum except -0.0, whose sign a gain squares away
+  in g and which h = c*p*(1 - p) >= +0 never holds; each gain is
+  ``_gain``'s IEEE operations in the same order on the same sums (Python
+  floats are IEEE doubles, and a zero denominator, which Python refuses,
+  is divided by numpy instead, so 0/0 is still NaN and x/0 inf); the
+  first maximum over the cuts in feature order keeps both tie-breaks, and
+  a NaN gain rules out its feature's one cut.  The memo holds at most
+  ``MEMO_CAP`` bytes per byte of the presorted order; past that, nodes
+  are scored as new ones and not stored.  Features with more values
+  (mixture-shaped, rounded or ordinal) give new row sets round after
+  round, and there the memo cost as much as the dense search or more, so
+  those matrices take the dense search;
 * rows with equal features fall in the same leaf of every tree, so they
   share a margin.  ``_canonical_order`` sorts them together and
   ``_row_groups`` numbers each run (the mimic groups its z rows with the
@@ -92,7 +98,7 @@ MAX_DEPTH = 4
 LEARNING_RATE = 0.1
 L2 = 1.0
 MIN_CHILD_WEIGHT = 1.0
-#: A builder's node memo holds at most this many index cells per cell of its
+#: A builder's node memo holds at most this many bytes per byte of its
 #: presorted order; past it, nodes are scored without being remembered.
 MEMO_CAP = 48
 
@@ -188,37 +194,27 @@ class Tree:
         self.value = self.value * factor
 
 
+def _threshold(lo: float, hi: float) -> float:
+    """The cut between two consecutive distinct values: their midpoint, or
+    ``lo`` where the midpoint rounds onto ``hi`` or ``lo + hi`` overflows."""
+    thr = 0.5 * (lo + hi)
+    return thr if lo <= thr < hi else lo
+
+
 class _Layout:
-    """The cut layout of one node of a two-valued matrix: a pure function of
-    the node's rows, kept across boosting rounds in ``_TreeBuilder.memo``."""
+    """The cuts of one node of a two-valued matrix: a pure function of the
+    node's rows, kept across boosting rounds in ``_TreeBuilder.memo``."""
 
-    __slots__ = ("head", "flat", "feature", "threshold", "children")
+    __slots__ = ("feature", "low", "children")
 
-    def __init__(self, order: np.ndarray, values: np.ndarray):
-        # order is the node's (d, m) sorted rows and values their feature values.
-        ok = values[:, :-1] != values[:, 1:]
-        feats = np.flatnonzero(ok.any(axis=1))
-        if feats.size < ok.shape[0]:
-            order, ok, values = order[feats], ok[feats], values[feats]
-        # Flat positions are feature-major, the order of the row-wise scan.
-        rows, cuts = np.divmod(np.flatnonzero(ok), ok.shape[1])
-        width = int(cuts.max()) + 1 if cuts.size else 0
-        #: Sorted rows of the features with a boundary, up to the last one.
-        self.head = order[:, :width].copy()
-        #: Each boundary cell's position in ``head.ravel()``.
-        self.flat = rows * width + cuts
-        self.feature = feats[rows]
-        lo, hi = values[rows, cuts], values[rows, cuts + 1]
-        thr = 0.5 * (lo + hi)
-        #: A midpoint rounded up to the right value falls back to the left one.
-        self.threshold = np.where(thr >= hi, lo, thr)
+    def __init__(self, low: np.ndarray):
+        # low is every feature's (d, m) mask of the node's rows at its lower value.
+        count = np.count_nonzero(low, axis=1)
+        #: The features that take both of their values in the node.
+        self.feature = np.flatnonzero((count > 0) & (count < low.shape[1]))
+        self.low = low[self.feature]
         #: (feature, threshold) -> the children's row keys, once split there.
         self.children: dict[tuple[int, float], tuple[bytes, bytes]] = {}
-
-    @property
-    def cells(self) -> int:
-        """Index cells held, as counted against ``MEMO_CAP``."""
-        return self.head.size + 3 * self.flat.size
 
 
 class _TreeBuilder:
@@ -239,13 +235,20 @@ class _TreeBuilder:
         # round after round: each one's layout is kept, keyed by the bytes
         # of its ascending rows.
         self.memo: dict[bytes, _Layout] | None = {} if (steps <= 1).all() else None
-        self.memo_cells = 0
+        self.memo_bytes = 0
+        if self.memo is not None:
+            # Each feature's one cut lies between its two values: the rows at
+            # the lower one go left, at a threshold fixed for the builder.
+            self.low = self.f_t == ranked[:, :1]
+            lo, hi = ranked[:, 0].tolist(), ranked[:, -1].tolist()
+            self.threshold = [_threshold(a, b) for a, b in zip(lo, hi)]
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
         nodes: list[list] = []
         row_values = np.empty(self.f_t.shape[1])
-        self._grow(np.arange(self.f_t.shape[1]), None, self.order, 0, g, h, nodes, row_values)
+        order = self.order if self.memo is None else None
+        self._grow(np.arange(self.f_t.shape[1]), None, order, 0, g, h, nodes, row_values)
         feature, threshold, left, right, value, depth = zip(*nodes)
         tree = Tree(
             np.asarray(feature, dtype=np.int32),
@@ -262,32 +265,29 @@ class _TreeBuilder:
         threshold, left, right, value, depth) and return its index.
 
         ``key`` is ``rows.tobytes()`` when the parent's remembered children
-        hold it, else None.  ``order`` is the node's rows in every feature's sorted order,
-        (d, m), or None where the parent did not partition its own: at
-        ``MAX_DEPTH``, which needs none, and under a remembered node.
+        hold it, else None.  ``order`` is the node's rows in every feature's
+        sorted order, (d, m), or None where no split search needs it: at
+        ``MAX_DEPTH`` and on a two-valued matrix.
         """
         # rows stay ascending, so a node sum adds its operands in row order.
-        g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
+        gm, hm = g[rows], h[rows]
+        g_sum = float(gm.sum())
+        h_sum = float(hm.sum())
         split = kept = None
         if depth < MAX_DEPTH and rows.size >= 2:
             if self.memo is None:
                 split = self._best_split(order, g, h, g_sum, h_sum)
             else:
                 if key is None:
-                    key, key_cells = rows.tobytes(), rows.size
+                    key, key_bytes = rows.tobytes(), rows.nbytes
                 else:  # already counted with the parent's children
-                    key_cells = 0
-                kept = self.memo.get(key)
+                    key_bytes = 0
+                layout = kept = self.memo.get(key)
                 if kept is None:
-                    if order is None:  # under a remembered node, which skipped the partition
-                        order = self._order_of(rows)
-                    layout = _Layout(order, self.f_t.ravel()[order + self.offsets])
-                    if self._reserve(key_cells + layout.cells):
+                    layout = _Layout(self.low[:, rows])
+                    if self._reserve(key_bytes + layout.feature.nbytes + layout.low.nbytes):
                         self.memo[key] = kept = layout
-                else:
-                    layout = kept
-                split = self._boundary_split(layout, g, h, g_sum, h_sum)
+                split = self._boundary_split(layout, gm, hm, g_sum, h_sum)
         node = len(nodes)
         if split is None:
             v = -g_sum / (h_sum + L2) * LEARNING_RATE
@@ -313,27 +313,20 @@ class _TreeBuilder:
                 order_left = np.compress(order_mask, order).reshape(order.shape[0], rows_left.size)
                 order_right = np.compress(~order_mask, order).reshape(order.shape[0], -1)
             key_left = key_right = None
-            if kept is not None and self._reserve(rows.size):
+            if kept is not None and self._reserve(rows.nbytes):
                 key_left, key_right = rows_left.tobytes(), rows_right.tobytes()
                 kept.children[split] = (key_left, key_right)
         nodes[node][2] = self._grow(rows_left, key_left, order_left, depth + 1, g, h, nodes, row_values)
         nodes[node][3] = self._grow(rows_right, key_right, order_right, depth + 1, g, h, nodes, row_values)
         return node
 
-    def _order_of(self, rows: np.ndarray) -> np.ndarray:
-        """The (d, m) sorted order of a node's rows: the shared order
-        filtered on membership, which is what the partitions leave."""
-        member = np.zeros(self.f_t.shape[1], dtype=bool)
-        member[rows] = True
-        return np.compress(member[self.order].ravel(), self.order).reshape(self.order.shape[0], -1)
-
-    def _reserve(self, cells: int) -> bool:
-        """Count ``cells`` more index cells in the memo and return True, or
-        return False if that would pass ``MEMO_CAP`` cells per cell of the
-        shared order."""
-        if self.memo_cells + cells > MEMO_CAP * self.order.size:
+    def _reserve(self, nbytes: int) -> bool:
+        """Count ``nbytes`` more bytes in the memo and return True, or return
+        False if that would pass ``MEMO_CAP`` bytes per byte of the shared
+        order."""
+        if self.memo_bytes + nbytes > MEMO_CAP * self.order.nbytes:
             return False
-        self.memo_cells += cells
+        self.memo_bytes += nbytes
         return True
 
     def _best_split(self, order, g, h, g_sum, h_sum):
@@ -360,27 +353,26 @@ class _TreeBuilder:
         if not wins.any():
             return None
         j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
-        lo, hi = self.f_t[j, order[j, cut[j]]], self.f_t[j, order[j, cut[j] + 1]]
-        thr = 0.5 * (lo + hi)
-        if thr >= hi:  # midpoint rounded up to the right value
-            thr = lo
-        return j, float(thr)
+        f_j = self.f_t[j]
+        return j, _threshold(float(f_j[order[j, cut[j]]]), float(f_j[order[j, cut[j] + 1]]))
 
-    def _boundary_split(self, layout, g, h, g_sum, h_sum):
-        """``_best_split`` of a node of a two-valued matrix, from its layout:
-        only the one cut of each feature between its two values is scored."""
-        if layout.flat.size == 0:  # every feature constant in the node
+    def _boundary_split(self, layout, gm, hm, g_sum, h_sum):
+        """``_best_split`` of a node of a two-valued matrix, from its layout
+        and its rows' ``gm`` and ``hm``: only the one cut of each feature
+        between its two values is scored."""
+        if layout.feature.size == 0:  # every feature constant in the node
             return None
-        # The sequential cumsums of _best_split, up to the last boundary only:
-        # a prefix of a cumsum is the cumsum of the prefix.
-        gl = g[layout.head]
-        np.cumsum(gl, axis=1, out=gl)
-        hl = h[layout.head]
-        np.cumsum(hl, axis=1, out=hl)
-        k = _best_cell(gl.ravel()[layout.flat].tolist(), hl.ravel()[layout.flat].tolist(), g_sum, h_sum)
+        # The left sums add the low rows' g and h in row order, as the sorted
+        # prefix of _best_split's cumsum does; the +0.0 added for every other
+        # row changes no sum but a -0.0, which h never holds and g's gain
+        # squares away.
+        gl = np.cumsum(np.where(layout.low, gm, 0.0), axis=1)[:, -1]
+        hl = np.cumsum(np.where(layout.low, hm, 0.0), axis=1)[:, -1]
+        k = _best_cell(gl.tolist(), hl.tolist(), g_sum, h_sum)
         if k < 0:
             return None
-        return int(layout.feature[k]), float(layout.threshold[k])
+        j = int(layout.feature[k])
+        return j, self.threshold[j]
 
     @staticmethod
     def _gain(gl, hl, ok, g_sum, h_sum):
@@ -408,12 +400,12 @@ class _TreeBuilder:
 
 
 def _best_cell(gl: list, hl: list, g_sum: float, h_sum: float) -> int:
-    """``_boundary_split``'s choice among its boundary cells, one per
-    feature, in Python floats: the index of the first cell with the largest
-    gain above ``_GAIN_EPS``, or -1.  ``gl`` and ``hl`` are the cells' left
-    sums, in feature order."""
+    """``_boundary_split``'s choice among its cuts, one per feature, in
+    Python floats: the index of the first cut with the largest gain above
+    ``_GAIN_EPS``, or -1.  ``gl`` and ``hl`` are the cuts' left sums, in
+    feature order."""
     # Each gain is _gain's IEEE operations in _gain's order.  A NaN gain is
-    # never > best, so it rules out its feature's one cell, as in _best_split.
+    # never > best, so it rules out its feature's one cut, as in _best_split.
     l2, min_child_weight = L2, MIN_CHILD_WEIGHT
     parent = g_sum * g_sum / (h_sum + l2)
     best, best_k = _GAIN_EPS, -1

@@ -472,11 +472,11 @@ def reference_build(f, g, h, consts):
             gain = np.where(ok, gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent, -np.inf)
             k = int(np.argmax(gain))
             if gain[k] > best_gain:
-                lo, hi = v[cut[k]], v[cut[k] + 1]
+                lo, hi = float(v[cut[k]]), float(v[cut[k] + 1])
                 thr = 0.5 * (lo + hi)
-                if thr >= hi:
+                if not lo <= thr < hi:  # rounded up to hi, or lo + hi overflowed
                     thr = lo
-                best_gain, best = float(gain[k]), (j, float(thr))
+                best_gain, best = float(gain[k]), (j, thr)
         return best
 
     def grow(mask, depth):
@@ -526,7 +526,7 @@ def reference_predict(tree, f):
     return out
 
 
-_COLUMN_KINDS = ("continuous", "ties", "constant", "one_hot", "adjacent")
+_COLUMN_KINDS = ("continuous", "ties", "constant", "one_hot", "adjacent", "huge_negative")
 
 
 def make_column(kind, n, rng):
@@ -546,6 +546,8 @@ def make_column(kind, n, rng):
         return rng.integers(0, 40, n).astype(np.float64)
     if kind == "mixture":  # zero-inflated normal: an atom at 0 of mass 0.4
         return np.where(rng.random(n) < 0.4, 0.0, rng.standard_normal(n))
+    if kind == "huge_negative":  # two values whose sum overflows to -inf
+        return np.where(rng.random(n) < 0.5, -1.7e308, -1e308)
     # neighbouring floats whose midpoint rounds up to the larger one
     lo = np.nextafter(1.0, 2.0)
     return np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, 2.0))
@@ -811,25 +813,54 @@ class TestTreeBuilder:
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
         """Many binary columns with few repeated rows give new row sets every
-        round: the memo stops at MEMO_CAP cells per cell of the order, and
-        the trees still match the reference and an uncapped memo's."""
+        round: the memo stops at MEMO_CAP bytes per byte of the order, and
+        the trees still match the reference and an uncapped memo's.  These
+        rows fill about 26 bytes per byte of the order uncapped, so the cap
+        is lowered to bind."""
+        monkeypatch.setattr(classify, "MEMO_CAP", 16)
         rng = derive_rng(36, "memo-cap")
         n = 600
         f = (rng.random((n, 12)) < 0.5).astype(np.float64)
         capped, uncapped = _TreeBuilder(f), _TreeBuilder(f)
         assert capped.memo is not None
-        cap = classify.MEMO_CAP * capped.order.size
+        cap = classify.MEMO_CAP * capped.order.nbytes
         for _ in range(60):
             g, h = rng.standard_normal(n), np.ones(n)
             tree, row_values = capped.build(g, h)
-            assert capped.memo_cells <= cap
+            assert capped.memo_bytes <= cap
             assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
             with monkeypatch.context() as mp:
                 mp.setattr(classify, "MEMO_CAP", 10**9)
                 free, free_values = uncapped.build(g, h)
             assert_same_tree(tree, free)
             assert np.array_equal(row_values, free_values)
-        assert uncapped.memo_cells > cap >= capped.memo_cells
+        assert uncapped.memo_bytes > cap >= capped.memo_bytes
+
+    @pytest.mark.parametrize(
+        "levels",
+        [(-1.7e308, -1e308), (-1.7e308, -1.5e308, -1e308)],
+        ids=["two_valued", "three_valued"],
+    )
+    def test_overflowing_midpoint_splits_the_rows(self, levels):
+        """Where lo + hi overflows to -inf, the threshold falls back to lo, so
+        every split, remembered or dense, sends training rows both ways."""
+        rng = derive_rng(38, "huge-negative")
+        n = 40
+        f = rng.choice(levels, (n, 1))
+        g, h = np.where(f[:, 0] == levels[0], 1.0, -1.0) + rng.standard_normal(n), np.ones(n)
+        builder = _TreeBuilder(f)
+        assert (builder.memo is not None) == (len(levels) == 2)
+        tree, _ = builder.build(g, h)
+        assert tree.depth > 0
+        stack = [(0, np.arange(n))]
+        while stack:
+            node, idx = stack.pop()
+            if tree.feature[node] < 0:
+                continue
+            go_left = f[idx, tree.feature[node]] <= tree.threshold[node]
+            assert 0 < np.count_nonzero(go_left) < idx.size
+            stack += [(tree.left[node], idx[go_left]), (tree.right[node], idx[~go_left])]
+        assert_same_tree(tree, reference_build(f, g, h, DEFAULT_CONSTS))
 
     # Columns with at most two values, against columns with more.
     @pytest.mark.parametrize(
