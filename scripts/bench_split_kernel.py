@@ -108,14 +108,13 @@ def calibration_kernel() -> float:
     return acc
 
 
-def calibration_s(clock=time.perf_counter) -> float:
-    """Median time of three calibration kernels on ``clock`` (wall time by
-    default): the host's speed now."""
+def calibration_s() -> float:
+    """Median wall time of three calibration kernels: the host's speed now."""
     runs = []
     for _ in range(3):
-        t0 = clock()
+        t0 = time.perf_counter()
         calibration_kernel()
-        runs.append(clock() - t0)
+        runs.append(time.perf_counter() - t0)
     return statistics.median(runs)
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, JSON output."""
 
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,14 @@ class TestTest:
         _, out1, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--seed", "9")
         _, out2, _ = run_cli(capsys, "test", "--data", str(h0_csv), "--seed", "9")
         assert out1 == out2
+
+    def test_pnl_report_is_pinned(self, tmp_path, capsys):
+        """The report on one seeded 1000-row pnl dataset, byte for byte."""
+        data = tmp_path / "pnl.csv"
+        run_cli(capsys, "gen", "--kind", "pnl", "--n", "1000", "--d-z", "5", "--seed", "0", "--data-out", str(data))
+        code, stdout, _ = run_cli(capsys, "test", "--data", str(data))
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == "f35ad5366713bf692f74c729887955ed86c0685e8a283e8b60f5bcce96c106dc"
 
     def test_tau_flag(self, h0_csv, capsys):
         """tau is derived from alpha; there is no flag to set it."""

@@ -1,7 +1,6 @@
 """Smoke runs of the experiment scripts on tiny inputs."""
 
 import ast
-import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -11,7 +10,6 @@ import pytest
 from ciforge.bench import BenchmarkConfig, roc_auc, run_benchmark, run_relations
 from ciforge.classify import GbtConfig
 from ciforge.core import Column, Relation, derive_rng
-from ciforge.oracle import run_verify
 from ciforge.testkit import TestConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -142,36 +140,3 @@ def test_bench_split_kernel_digests_match_the_record():
         assert list(shape) == record[name]["shape"]
         assert script.digest(fit()) == record[name]["sha256"], name
 
-
-def test_bench_import(tmp_path, monkeypatch):
-    script = load_script("bench_import")
-    monkeypatch.setattr(script, "REPEATS", 1)
-    out = tmp_path / "import.json"
-    assert script.main(["--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert set(report) == {"import", "test", "repeats", "env"} and report["repeats"] == 1
-    assert set(report["import"]) == {"median_s", "runs_s", "numpy_median_s", "maxrss_mb"}
-    assert set(report["test"]) == {"gen", "median_s", "runs_s", "peak_rss_mb", "exit_code", "stdout_sha256"}
-    assert len(report["import"]["runs_s"]) == len(report["test"]["runs_s"]) == 1
-    # The recorded sides differ only in what they load, so `ciforge test` prints their report.
-    record = json.loads((SCRIPTS.parent / "BENCH_import.json").read_text())["change"]["test"]
-    assert report["test"]["exit_code"] == record["exit_code"]
-    assert report["test"]["stdout_sha256"] == record["stdout_sha256"]
-
-
-def test_bench_verify(tmp_path, monkeypatch):
-    script = load_script("bench_verify")
-    monkeypatch.setattr(script, "SEEDS", (0,))
-    out = tmp_path / "verify.json"
-    assert script.main(["--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert set(report) == {"total", *script.SECTIONS, "sha256", "seeds", "env"} and report["seeds"] == [0]
-    assert all(len(report[name]["runs_s"]) == 1 for name in ("total", *script.SECTIONS))
-    assert all(len(report[name]["runs_cal"]) == 1 and report[name]["median_cal"] > 0 for name in ("total", *script.SECTIONS))
-    # With one seed the digest is that of its one report, as written in the docstring.
-    default = run_verify(seed=0)
-    del default["elapsed_s"]
-    assert report["sha256"] == hashlib.sha256(json.dumps(default, sort_keys=True).encode()).hexdigest()
-    # The recorded sides differ only in speed, so they print the same reports.
-    record = json.loads((SCRIPTS.parent / "BENCH_verify.json").read_text())
-    assert record["parent"]["sha256"] == record["change"]["sha256"]
