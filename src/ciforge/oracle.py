@@ -66,22 +66,27 @@ def max_coupling_mass_lp(p, q) -> float:
 
 
 def max_coupling_masses_lp(pairs) -> list[float]:
-    """Max coupling mass of each (p, q) pair, from one linear program.
+    """Max coupling mass of each (p, q) pair, certified by LP duality.
 
     Each pair's coupling is a point of its transportation polytope (row sums
-    p, column sums q); its value is the largest diagonal mass.  This
-    cross-checks the closed form sum_i min(p_i, q_i) independently of it.
-    The pairs' programs share no variable or constraint, so their
-    block-diagonal stack, maximising the total diagonal mass, is optimal
-    exactly when each block is optimal on its own: one solve gives every
-    pair's value as its block's diagonal mass, without paying the solver's
-    fixed cost per pair.  Each pair is checked before the solve (equal sizes,
-    else ``SupportMismatch``; finite entries >= 0 and equal total masses,
-    else ``ValueError``), naming its index, since a failed stack could not
-    say which pair was at fault.  scipy is imported here, at its only use,
-    so that ``import ciforge`` does not load its solvers.
+    p, column sums q); its value is the largest diagonal mass.  This program
+    has an explicit optimal primal-dual pair, so no solver runs.  With
+    m = min(p, q), a = p - m and b = q - m, the primal is
+    diag(m) + outer(a, b) / sum(b), or diag(m) alone when sum(b) = 0; where
+    a_i > 0, b_i = 0, so the outer term never touches the diagonal.  The dual
+    is u = [p <= q], v = 1 - u, with u_i + v_j >= [i = j] and
+    p.u + q.v = sum(m).  By weak duality the primal's diagonal mass <= the
+    optimum <= p.u + q.v, so once :func:`_certified_mass` has checked both
+    points and that the two objectives agree, that mass is the optimum.  A
+    wrong primal or dual fails the check, so it cross-checks the closed form
+    sum_i min(p_i, q_i) rather than restating it.
+
+    Each pair is checked first (equal sizes, else ``SupportMismatch``;
+    finite entries >= 0 and equal total masses, else ``ValueError``), and a
+    failed certificate raises ``RuntimeError``; every message names the
+    pair's index.
     """
-    blocks, diagonals, b_eq, offset = [], [], [], 0
+    masses = []
     for k, (p, q) in enumerate(pairs):
         try:
             p, q = _pmf_pair(p, q)
@@ -95,28 +100,40 @@ def max_coupling_masses_lp(pairs) -> list[float]:
             raise ValueError(f"pair {k}: pmf entries must be >= 0")
         if abs(p.sum() - q.sum()) > SUM_TOL:
             raise ValueError(f"pair {k}: total masses differ: {p.sum()!r} vs {q.sum()!r}")
-        s = p.size
-        a_eq = np.zeros((2 * s, s * s))
-        for i in range(s):
-            a_eq[i, i * s : (i + 1) * s] = 1.0  # row sums -> p
-            a_eq[s + i, i::s] = 1.0  # column sums -> q
-        blocks.append(a_eq)
-        diagonals.append(offset + np.arange(0, s * s, s + 1))
-        b_eq += [p, q]
-        offset += s * s
-    if not blocks:
-        return []
+        m = np.minimum(p, q)
+        a, b = p - m, q - m
+        pi = np.diag(m)
+        if b.sum() > 0:
+            pi += np.outer(a, b) / b.sum()
+        u = (p <= q).astype(np.float64)
+        try:
+            masses.append(_certified_mass(p, q, pi, u, 1.0 - u))
+        except RuntimeError as exc:
+            raise RuntimeError(f"pair {k}: {exc}") from None
+    return masses
 
-    from scipy.optimize import linprog
-    from scipy.sparse import block_diag
 
-    c = np.zeros(offset)
-    c[np.concatenate(diagonals)] = -1.0  # maximize the diagonal mass
-    a_eq = block_diag(blocks, format="csr")
-    res = linprog(c, A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"coupling LP failed: {res.message}")
-    return [float(res.x[diagonal].sum()) for diagonal in diagonals]
+def _certified_mass(p, q, pi, u, v) -> float:
+    """Diagonal mass of the coupling ``pi`` of p and q, certified optimal by
+    the dual (u, v) of the max-diagonal transportation LP.
+
+    Raises ``RuntimeError`` unless ``pi`` is feasible (entries >= 0, row sums
+    p, column sums q), (u, v) is dual feasible (u_i + v_j >= [i = j]) and the
+    two objectives agree.  The tolerance is 2 * SUM_TOL: the pmfs' total
+    masses may differ by SUM_TOL, which a coupling's marginals must absorb,
+    plus rounding.
+    """
+    tol = 2 * SUM_TOL
+    if (pi < -tol).any():
+        raise RuntimeError("coupling has a negative entry")
+    if np.abs(pi.sum(axis=1) - p).max() > tol or np.abs(pi.sum(axis=0) - q).max() > tol:
+        raise RuntimeError("coupling's row or column sums miss p or q")
+    if (np.add.outer(u, v) < np.eye(p.size) - tol).any():
+        raise RuntimeError("dual infeasible: some u_i + v_j < [i = j]")
+    mass, bound = float(np.trace(pi)), float(p @ u + q @ v)
+    if abs(bound - mass) > tol:
+        raise RuntimeError(f"duality gap {bound - mass!r} exceeds {tol!r}")
+    return mass
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -512,7 +529,7 @@ def run_verify(
     checks["sparse_ci_zero_gap"] = _check(sparse_ci, SUM_TOL, "min")
     checks["sparse_dependence_gap"] = _check(sparse_dep, 0.0, "min")
 
-    # Closed-form overlap vs an independent linear-program coupling solver.
+    # Closed-form overlap vs the coupling LP's optimum, certified by duality.
     pairs = []
     for _ in range(n_lp):
         s = int(rng.integers(2, 4))

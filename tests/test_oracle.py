@@ -1,8 +1,9 @@
 """Exact discrete-distribution computations and their cross-checks.
 
-Independent oracles used here: the coupling linear program (scipy HiGHS)
-for overlap values, direct marginalization for CI checks, and brute-force
-grids for the variational maximizer.
+Independent oracles used here: the coupling linear program, certified by
+duality and checked against scipy's HiGHS solver, for overlap values; direct
+marginalization for CI checks; and brute-force grids for the variational
+maximizer.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from ciforge.oracle import (
     IDENTITY_TOL,
     GapReport,
     _JointParts,
+    _certified_mass,
     _sparse_ci_joint,
     _sparse_dependent_joint,
     _support_conditional,
@@ -301,6 +303,14 @@ class TestUniformMimicBound:
         assert abs(lhs - tv) <= 1e-12
 
 
+# Degenerate pairs: zero entries at different places on the two sides, and
+# an equal pair with a zero entry.
+DEGENERATE_PAIRS = [
+    (np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.0])),
+    (np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+]
+
+
 class TestCouplingLp:
     def test_matches_min_sum(self):
         rng = derive_rng(6, "lp")
@@ -310,9 +320,6 @@ class TestCouplingLp:
             p, q = rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))
             assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
             pairs.append((p, q))
-        # On the verify battery's draws (supports of 2-3, Dirichlet(1)) the
-        # stacked program is bit-equal to each pair solved alone, which keeps
-        # the verify reports unchanged.
         assert max_coupling_masses_lp(pairs) == [max_coupling_mass_lp(p, q) for p, q in pairs]
 
     def test_identical_distributions_couple_fully(self):
@@ -320,10 +327,8 @@ class TestCouplingLp:
         assert max_coupling_mass_lp(p, p) == pytest.approx(1.0, abs=1e-9)
 
     def test_stacked_blocks_match_each_pair_solved_alone(self):
-        """The stacked program's blocks share nothing, so each value is its
-        pair's own optimum.  With supports up to 6, zero entries or equal
-        pairs, the solver may pivot through a degenerate block in another
-        order inside the stack, so the value may move by a few ulps."""
+        """The batched form returns each pair's own value, also with
+        supports up to 6, zero entries or equal pairs."""
         rng = derive_rng(7, "lp-stack")
         pairs = []
         for _ in range(40):
@@ -333,16 +338,55 @@ class TestCouplingLp:
                 p[rng.integers(s)] = 0.0
                 p /= p.sum()
             pairs.append((p, p.copy() if rng.random() < 0.2 else q))
-        pairs += [
-            (np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.0])),
-            (np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-        ]
+        pairs += DEGENERATE_PAIRS
         masses = max_coupling_masses_lp(pairs)
         assert len(masses) == len(pairs)
         for mass, (p, q) in zip(masses, pairs):
             assert abs(mass - max_coupling_mass_lp(p, q)) <= IDENTITY_TOL
             assert abs(mass - np.minimum(p, q).sum()) <= 1e-8
         assert max_coupling_masses_lp([]) == []
+
+    def test_matches_highs_reference(self):
+        """scipy's HiGHS solves each pair's transportation LP as a
+        third-party reference for the duality certificate."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = derive_rng(8, "lp-highs")
+        pairs = []
+        for s in range(1, 7):
+            for _ in range(8):
+                p, q = rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))
+                if s > 1 and rng.random() < 0.4:
+                    q[rng.integers(s)] = 0.0
+                    q /= q.sum()
+                pairs.append((p, p.copy() if rng.random() < 0.25 else q))
+        pairs += DEGENERATE_PAIRS
+        for mass, (p, q) in zip(max_coupling_masses_lp(pairs), pairs):
+            s = p.size
+            a_eq = np.zeros((2 * s, s * s))
+            for i in range(s):
+                a_eq[i, i * s : (i + 1) * s] = 1.0  # row sums -> p
+                a_eq[s + i, i::s] = 1.0  # column sums -> q
+            c = -np.eye(s).ravel()  # maximize the diagonal mass
+            res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
+            assert res.success, res.message
+            assert abs(mass - -res.fun) <= 1e-9
+
+    def test_certificate_rejects_a_bad_primal_or_dual(self):
+        p, q = np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])
+        m = np.minimum(p, q)
+        a, b = p - m, q - m
+        pi = np.diag(m) + np.outer(a, b) / b.sum()
+        u = (p <= q).astype(float)
+        assert _certified_mass(p, q, pi, u, 1.0 - u) == pytest.approx(m.sum(), abs=1e-15)
+        moved = pi.copy()
+        moved[1, 0] += moved[0, 0]  # column sums kept, row sums broken
+        moved[0, 0] = 0.0
+        with pytest.raises(RuntimeError, match="row or column sums"):
+            _certified_mass(p, q, moved, u, 1.0 - u)
+        short = u.copy()
+        short[0] = 0.0  # u_0 + v_0 = 0 < 1
+        with pytest.raises(RuntimeError, match="dual infeasible"):
+            _certified_mass(p, q, pi, short, 1.0 - u)
 
     @pytest.mark.parametrize(
         "bad, error, match",
@@ -356,48 +400,33 @@ class TestCouplingLp:
         ],
     )
     def test_bad_pair_in_a_batch_is_named(self, bad, error, match):
-        """A stack that failed could not say which pair was at fault, so each
-        pair is checked before the solve; the good pairs around it do not
-        hide it."""
+        """Each pair is checked and named by its index; the good pairs
+        around it do not hide it."""
         good = (np.array([0.2, 0.8]), np.array([0.6, 0.4]))
         with pytest.raises(error, match=match):
             max_coupling_masses_lp([good, bad, good])
 
-    def test_scipy_loads_only_when_the_lp_runs(self):
-        """``import ciforge`` and its CLI load neither scipy nor the process
-        pool; the LP cross-check loads its solver on first use.  The pytest
-        process already holds scipy, so this runs in a fresh interpreter."""
-        script = """
+    def test_package_cli_and_verify_load_no_scipy(self):
+        """``import ciforge``, its CLI, the default verify battery and the LP
+        cross-check load neither scipy nor a process pool.  The pytest
+        process may already hold scipy, so this runs in a fresh interpreter."""
+        _run_fresh("""
 import sys
 import numpy as np
 import ciforge, ciforge.cli
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
-          or m.startswith("multiprocessing") or m == "concurrent.futures.process"]
-assert not loaded, sorted(loaded)[:8]
-from ciforge.oracle import max_coupling_mass_lp
+from ciforge.oracle import max_coupling_mass_lp, run_verify
+assert run_verify(seed=1)["all_pass"]
 p, q = np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])
 assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
-assert "scipy.optimize" in sys.modules
-"""
-        _run_fresh(script)
-
-    def test_battery_without_lp_loads_no_scipy(self):
-        """With no LP pair to solve, neither the battery nor the batched form
-        imports scipy."""
-        _run_fresh("""
-import sys
-from ciforge.oracle import max_coupling_masses_lp, run_verify
-report = run_verify(seed=1, n_gap_joints=3, n_ci=2, n_dep=2, n_pairs=5, n_sparse=2, n_lp=0)
-assert report["all_pass"]
-assert max_coupling_masses_lp([]) == []
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+          or m.startswith("multiprocessing") or m == "concurrent.futures.process"]
 assert not loaded, sorted(loaded)[:8]
 """)
 
 
 def _run_fresh(script: str) -> None:
     """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
-    pytest process already holds scipy."""
+    pytest process may already hold scipy, which the HiGHS reference loads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -424,9 +453,9 @@ def test_verify_battery_small():
 # sha256 of the default battery's report without its wall-clock ``elapsed_s``
 # and without the LP cross-check's ``worst_slack``, as json.dumps(...,
 # sort_keys=True) writes it.  Seed 1903 is the acceptance suite's.  A change
-# that only stops recomputing values keeps these digests.  The LP slack is a
-# ~1e-16 residual of the solver's floating-point pivots, which a scipy release
-# may reorder, so it is held to a bound instead; that check's pass, n, tol and
+# that only stops recomputing values keeps these digests.  The LP slack
+# compares two floating-point sums of the same minima, which may differ by
+# rounding, so it is held to a bound instead; that check's pass, n, tol and
 # gating stay in the digest.
 VERIFY_DIGESTS = {
     0: "706a96bae3696bbf261aa17b7a72f1aafc5f77dc760811e399e7a2a108ebafcc",
