@@ -406,23 +406,50 @@ class TestCouplingLp:
         with pytest.raises(error, match=match):
             max_coupling_masses_lp([good, bad, good])
 
-    def test_package_cli_and_verify_load_no_scipy(self):
-        """``import ciforge``, its CLI, the default verify battery and the LP
-        cross-check load neither scipy nor a process pool.  The pytest
-        process may already hold scipy, so this runs in a fresh interpreter."""
+    def test_scipy_loads_only_when_the_lp_runs(self):
+        """``import ciforge`` and its CLI load neither scipy nor the process
+        pool.  The LP cross-check is certified by duality in numpy, so running
+        it loads no scipy either.  The pytest process may already hold scipy,
+        so this runs in a fresh interpreter."""
         _run_fresh("""
 import sys
 import numpy as np
 import ciforge, ciforge.cli
-from ciforge.oracle import max_coupling_mass_lp, run_verify
-assert run_verify(seed=1)["all_pass"]
+def loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+            or m.startswith("multiprocessing") or m == "concurrent.futures.process"]
+assert not loaded(), sorted(loaded())[:8]
+from ciforge.oracle import max_coupling_mass_lp
 p, q = np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])
 assert abs(max_coupling_mass_lp(p, q) - np.minimum(p, q).sum()) <= 1e-8
+assert not loaded(), sorted(loaded())[:8]
+""")
+
+    def test_battery_without_lp_loads_no_scipy(self):
+        """With no LP pair to solve, neither the battery nor the batched form
+        imports scipy."""
+        _run_fresh("""
+import sys
+from ciforge.oracle import max_coupling_masses_lp, run_verify
+report = run_verify(seed=1, n_gap_joints=3, n_ci=2, n_dep=2, n_pairs=5, n_sparse=2, n_lp=0)
+assert report["all_pass"]
+assert max_coupling_masses_lp([]) == []
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, sorted(loaded)[:8]
+""")
+
+    def test_package_cli_and_verify_load_no_scipy(self):
+        """The default verify battery, with its LP cross-check, loads neither
+        scipy nor a process pool."""
+        _run_fresh("""
+import sys
+import ciforge, ciforge.cli
+from ciforge.oracle import run_verify
+assert run_verify(seed=1)["all_pass"]
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
           or m.startswith("multiprocessing") or m == "concurrent.futures.process"]
 assert not loaded, sorted(loaded)[:8]
 """)
-
 
 def _run_fresh(script: str) -> None:
     """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
