@@ -58,7 +58,9 @@ class PostNonlinearConfig:
         for name in ("d_z", "n"):
             if require_number(name, getattr(self, name), integer=True) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        require_number("a_xy", self.a_xy)
+        # Written so that NaN fails: every comparison with it is False.
+        if not -np.inf < require_number("a_xy", self.a_xy) < np.inf:
+            raise ValueError(f"a_xy must be finite, got {self.a_xy!r}")
         require_number("seed", self.seed, integer=True)
         if not isinstance(self.ci, bool):
             raise ValueError(f"ci must be a bool, got {self.ci!r}")

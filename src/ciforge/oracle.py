@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import derive_rng
+from .core import derive_rng, require_number
 from .datagen import DiscreteJoint, gen_discrete_joint
 from .errors import InvalidConditional, SupportMismatch
 
@@ -33,6 +33,13 @@ SUM_TOL = 1e-12
 NONZERO_TOL = 1e-9
 # Largest alphabet size of the verify battery's random joints (each size 2..MAX_SIZE).
 MAX_SIZE = 4
+# How many random cases each section of the verify battery draws.
+N_PAIRS = 1000
+N_GAP_JOINTS = 500
+N_CI = 100
+N_DEP = 100
+N_SPARSE = 50
+N_LP = 50
 
 
 def _pmf_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -58,18 +65,11 @@ def bayes_error(p, q) -> float:
 
 
 def max_coupling_mass_lp(p, q) -> float:
-    """Max probability of drawing equal values under any coupling of p and q.
+    """Max probability of drawing equal values under any coupling of p and q,
+    certified by LP duality.
 
-    The one-pair case of :func:`max_coupling_masses_lp`.
-    """
-    return max_coupling_masses_lp([(p, q)])[0]
-
-
-def max_coupling_masses_lp(pairs) -> list[float]:
-    """Max coupling mass of each (p, q) pair, certified by LP duality.
-
-    Each pair's coupling is a point of its transportation polytope (row sums
-    p, column sums q); its value is the largest diagonal mass.  This program
+    The coupling is a point of the transportation polytope (row sums p,
+    column sums q); its value is the largest diagonal mass.  This program
     has an explicit optimal primal-dual pair, so no solver runs.  With
     m = min(p, q), a = p - m and b = q - m, the primal is
     diag(m) + outer(a, b) / sum(b), or diag(m) alone when sum(b) = 0; where
@@ -81,36 +81,26 @@ def max_coupling_masses_lp(pairs) -> list[float]:
     wrong primal or dual fails the check, so it cross-checks the closed form
     sum_i min(p_i, q_i) rather than restating it.
 
-    Each pair is checked first (equal sizes, else ``SupportMismatch``;
+    The pair is checked first (equal sizes, else ``SupportMismatch``;
     finite entries >= 0 and equal total masses, else ``ValueError``), and a
-    failed certificate raises ``RuntimeError``; every message names the
-    pair's index.
+    failed certificate raises ``RuntimeError``.
     """
-    masses = []
-    for k, (p, q) in enumerate(pairs):
-        try:
-            p, q = _pmf_pair(p, q)
-        except SupportMismatch as exc:
-            raise SupportMismatch(f"pair {k}: {exc}") from None
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError(f"pair {k}: pmfs must be non-empty vectors, got shape {p.shape}")
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise ValueError(f"pair {k}: pmf entries must be finite")
-        if (p < 0).any() or (q < 0).any():
-            raise ValueError(f"pair {k}: pmf entries must be >= 0")
-        if abs(p.sum() - q.sum()) > SUM_TOL:
-            raise ValueError(f"pair {k}: total masses differ: {p.sum()!r} vs {q.sum()!r}")
-        m = np.minimum(p, q)
-        a, b = p - m, q - m
-        pi = np.diag(m)
-        if b.sum() > 0:
-            pi += np.outer(a, b) / b.sum()
-        u = (p <= q).astype(np.float64)
-        try:
-            masses.append(_certified_mass(p, q, pi, u, 1.0 - u))
-        except RuntimeError as exc:
-            raise RuntimeError(f"pair {k}: {exc}") from None
-    return masses
+    p, q = _pmf_pair(p, q)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"pmfs must be non-empty vectors, got shape {p.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("pmf entries must be finite")
+    if (p < 0).any() or (q < 0).any():
+        raise ValueError("pmf entries must be >= 0")
+    if abs(p.sum() - q.sum()) > SUM_TOL:
+        raise ValueError(f"total masses differ: {p.sum()!r} vs {q.sum()!r}")
+    m = np.minimum(p, q)
+    a, b = p - m, q - m
+    pi = np.diag(m)
+    if b.sum() > 0:
+        pi += np.outer(a, b) / b.sum()
+    u = (p <= q).astype(np.float64)
+    return _certified_mass(p, q, pi, u, 1.0 - u)
 
 
 def _certified_mass(p, q, pi, u, v) -> float:
@@ -409,34 +399,21 @@ def _check(slacks: list[float], tol: float, kind: str, gating: bool = True) -> d
     return {"pass": bool(ok), "worst_slack": worst, "tol": tol, "n": len(slacks), "gating": gating}
 
 
-def run_verify(
-    seed: int = 0,
-    n_gap_joints: int = 500,
-    n_ci: int = 100,
-    n_dep: int = 100,
-    n_pairs: int = 1000,
-    n_sparse: int = 50,
-    n_lp: int = 50,
-) -> dict:
+def run_verify(seed: int = 0) -> dict:
     """Run the full oracle property battery; returns a JSON-friendly report.
 
     Each named check records worst-case slack against its tolerance.  The
-    defaults match the sizes used by the acceptance suite.  A negative
-    count raises ``ValueError``; a zero count runs that check on nothing.
+    battery's size is fixed by the ``N_*`` constants; ``seed``, an integer
+    (not a bool, else ``ValueError``), picks its random joints and pairs.
     """
-    counts = dict(
-        n_gap_joints=n_gap_joints, n_ci=n_ci, n_dep=n_dep, n_pairs=n_pairs, n_sparse=n_sparse, n_lp=n_lp
-    )
-    negative = [f"{name}={v}" for name, v in counts.items() if v < 0]
-    if negative:
-        raise ValueError(f"verify counts must be >= 0, got {', '.join(negative)}")
+    require_number("seed", seed, integer=True)
     t0 = time.perf_counter()
     rng = derive_rng(seed, "oracle-verify")
     checks: dict[str, dict] = {}
 
     # TV metric axioms and the closed-form identities on random pairs.
     sym, tri, dual, minform = [], [], [], []
-    for _ in range(n_pairs):
+    for _ in range(N_PAIRS):
         s = int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(s))
         q = rng.dirichlet(np.ones(s))
@@ -459,7 +436,7 @@ def run_verify(
     sharp_slack, upper_slack, nonneg = [], [], []
     mass_lower_slack, unif_slack = [], []
     maximizer, maximizer_id, equality_at_true = [], [], []
-    for _ in range(n_gap_joints):
+    for _ in range(N_GAP_JOINTS):
         joint = gen_discrete_joint(_random_sizes(rng), ci=False, seed=int(rng.integers(2**63)))
         q_true = true_conditional(joint)
         q_unif = uniform_conditional(joint)
@@ -498,13 +475,13 @@ def run_verify(
     # projection distance (random full-support q can tilt masses enough to
     # null the gap, so it is observed without gating).
     ci_gaps, dep_gaps, dep_gaps_rand, agree = [], [], [], []
-    for _ in range(n_ci):
+    for _ in range(N_CI):
         joint = gen_discrete_joint(_random_sizes(rng), ci=True, seed=int(rng.integers(2**63)))
         q = _random_conditional(rng, joint.sizes[1], joint.sizes[2])
         gap = gap_report(joint, q).gap_lhs
         ci_gaps.append(-abs(gap))  # want |gap| <= tol, expressed as min-slack
         agree.append(1.0 if is_ci(joint, NONZERO_TOL) else -1.0)
-    for _ in range(n_dep):
+    for _ in range(N_DEP):
         joint = gen_discrete_joint(_random_sizes(rng), ci=False, seed=int(rng.integers(2**63)))
         parts = _JointParts(joint)
         dep_gaps.append(parts.report(true_conditional(joint)).gap_lhs - 1e-6)
@@ -519,7 +496,7 @@ def run_verify(
     # General-measure edge: zero-mass (y,z) cells with q supported exactly
     # on the remaining cells; the biconditional must still hold there.
     sparse_ci, sparse_dep = [], []
-    for _ in range(n_sparse):
+    for _ in range(N_SPARSE):
         sizes = _random_sizes(rng)
         joint = _sparse_ci_joint(rng, sizes)
         q = _support_conditional(rng, joint)
@@ -530,14 +507,12 @@ def run_verify(
     checks["sparse_dependence_gap"] = _check(sparse_dep, 0.0, "min")
 
     # Closed-form overlap vs the coupling LP's optimum, certified by duality.
-    pairs = []
-    for _ in range(n_lp):
+    lp_dev = []
+    for _ in range(N_LP):
         s = int(rng.integers(2, 4))
         p = rng.dirichlet(np.ones(s))
         q = rng.dirichlet(np.ones(s))
-        pairs.append((p, q))
-    masses = max_coupling_masses_lp(pairs)
-    lp_dev = [abs(mass - float(np.minimum(p, q).sum())) for mass, (p, q) in zip(masses, pairs)]
+        lp_dev.append(abs(max_coupling_mass_lp(p, q) - float(np.minimum(p, q).sum())))
     checks["coupling_lp_crosscheck"] = _check(lp_dev, 1e-8, "max")
 
     return {

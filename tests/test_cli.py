@@ -400,6 +400,21 @@ class TestUsage:
         code = main(["test", "--data", "/nonexistent/nowhere.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("a_xy", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_non_finite_a_xy_exits_two_before_any_work(self, command, a_xy, tmp_path, capsys, monkeypatch):
+        def no_test(*args):
+            raise AssertionError("a test ran")
+
+        monkeypatch.setattr("ciforge.bench.ci_test", no_test)
+        out = tmp_path / "out"
+        argv = ["gen", "--data-out", str(out)] if command == "gen" else ["bench", "--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, *argv, "--a-xy", a_xy)
+        assert code == 2
+        assert stdout == ""
+        assert "a_xy must be finite" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [("--classifier", "gbt"), ("--mimic", "reg")])
     def test_removed_flag_exits_two(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,6 +84,13 @@ class TestPostNonlinear:
         with pytest.raises(ValueError):
             PostNonlinearConfig(**{"d_z": 2, "n": 10, "ci": True, **bad})
 
+    @pytest.mark.parametrize("a_xy", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_a_xy_is_refused(self, a_xy):
+        """NaN would reach the manifest as invalid JSON and the dependent
+        datasets as NaN cells."""
+        with pytest.raises(ValueError, match="a_xy must be finite"):
+            PostNonlinearConfig(d_z=2, n=10, ci=False, a_xy=a_xy)
+
 
 class TestDiscreteJoint:
     def test_ci_construction_is_exactly_ci(self):
