@@ -21,45 +21,47 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
 * a feature with no repeated value among all training rows has none among
   a node's rows, so every cut of it lies between distinct values and only
   features with repeats gather their values to find the boundaries;
-* when every feature holds at most two distinct values (one-hot data), a
-  feature's one cut lies between its two values, so its threshold is
-  fixed for the fit, no node needs sorted orders, and the same few row
-  sets come back round after round.  Each fit's builder keeps a memo
-  keyed by the bytes of a node's ascending rows: the node's layout (the
-  features that take both values there, and a mask of its rows at each
-  one's lower value) and the rows of the children of every split taken
-  there.  A node's left sums are row-wise cumsums of its g and h with
-  each row off the mask replaced by +0.0, and its few cuts are scored in
-  a Python loop, which costs less than numpy's fixed cost per call; a
-  remembered split skips the partition.  That is bit-identical to scoring
-  every cell: the layout is a pure function of the row set; the cumsum
-  adds the lower value's rows in row order, the order of the stable sort;
-  adding +0.0 changes no sum except -0.0, whose sign a gain squares away
-  in g and which h = c*p*(1 - p) >= +0 never holds; each gain is
-  ``_gain``'s IEEE operations in the same order on the same sums (Python
-  floats are IEEE doubles, and a zero denominator, which Python refuses,
-  is divided by numpy instead, so 0/0 is still NaN and x/0 inf); the
-  first maximum over the cuts in feature order keeps both tie-breaks, and
-  a NaN gain rules out its feature's one cut.  The memo holds at most
-  ``MEMO_CAP`` bytes per byte of the presorted order; past that, nodes
-  are scored as new ones and not stored.  Features with more values
-  (mixture-shaped, rounded or ordinal) give new row sets round after
-  round, and there the memo cost as much as the dense search or more, so
-  those matrices take the dense search;
+* when every feature holds at most two distinct values (one-hot data),
+  they are its minimum and maximum and the builder sorts nothing: a
+  feature's one cut lies between its two values, so its threshold is fixed
+  for the fit, and the same few row sets come back round after round.
+  Each fit's builder keeps a memo keyed by the bytes of a node's ascending
+  rows: the node's layout (the features that take both values there, and a
+  mask of its rows at each one's lower value) and, by feature, the rows of
+  the children of every split taken there.  A node's left sums are
+  row-wise cumsums of its g and h with each row off the mask replaced by
+  +0.0, and its few cuts are scored in a Python loop, which costs less
+  than numpy's fixed cost per call; a new split cuts the node's rows by
+  its feature's mask row, and a remembered one skips the cut.  That is
+  bit-identical to scoring every cell: the layout is a pure function of
+  the row set; the cumsum adds the lower value's rows in row order, the
+  order of the stable sort; adding +0.0 changes no sum except -0.0, whose
+  sign a gain squares away in g and which h = c*p*(1 - p) >= +0 never
+  holds; each gain is ``_gain``'s IEEE operations in the same order on the
+  same sums (Python floats are IEEE doubles, and a zero denominator, which
+  Python refuses, is divided by numpy instead, so 0/0 is still NaN and x/0
+  inf); the first maximum over the cuts in feature order keeps both
+  tie-breaks, and a NaN gain rules out its feature's one cut.  The memo
+  holds at most ``MEMO_CAP`` bytes per byte of the feature matrix; past
+  that, nodes are scored as new ones and not stored.  Features with more
+  values (mixture-shaped, rounded or ordinal) give new row sets round
+  after round, and there the memo cost as much as the dense search or
+  more, so those matrices take the dense search;
 * rows with equal features fall in the same leaf of every tree, so they
   share a margin.  ``_canonical_order`` sorts them together and
   ``_row_groups`` numbers each run (the mimic groups its z rows with the
-  same two).  Trees are grown on one row per group, and each round
-  evaluates the sigmoid, the margin-only part of the loss, the backoff and
-  the validation prediction once per group.  A group of c rows with label
-  sum s and probability p has gradient c*p - s and hessian c*p*(1 - p):
-  the sums of its rows' p - y and p(1 - p), added in another order.  Where
-  no row repeats (c = 1, s = y) the fit is bit-identical to the per-row
-  loop; where rows repeat the sums differ from it in their last bits, and
-  when two one-hot columns cut a node into the same two row sets, those
-  bits can pick the other column, with predictions equal up to rounding.
-  The ``m*y`` term and the loss's sum stay per row, so ``train_loss`` is
-  the exact loss of the kept trees;
+  same two).  Trees are grown on one row per group, each round evaluates
+  the sigmoid, the margin-only part of the loss, the backoff and the
+  validation prediction once per group, and ``predict_margin`` scores one
+  row per group: the same sum over the same trees.  A group of c rows with
+  label sum s and probability p has gradient c*p - s and hessian
+  c*p*(1 - p): the sums of its rows' p - y and p(1 - p), added in another
+  order.  Where no row repeats (c = 1, s = y) the fit is bit-identical to
+  the per-row loop; where rows repeat the sums differ from it in their
+  last bits, and when two one-hot columns cut a node into the same two row
+  sets, those bits can pick the other column, with predictions equal up to
+  rounding.  The ``m*y`` term and the loss's sum stay per row, so
+  ``train_loss`` is the exact loss of the kept trees;
 * the round with the lowest validation logistic loss (the first, on ties)
   becomes ``best_round``, and boosting stops once ``PATIENCE`` rounds have
   passed without beating it; prediction uses only the first ``best_round``
@@ -99,7 +101,7 @@ LEARNING_RATE = 0.1
 L2 = 1.0
 MIN_CHILD_WEIGHT = 1.0
 #: A builder's node memo holds at most this many bytes per byte of its
-#: presorted order; past it, nodes are scored without being remembered.
+#: feature matrix; past it, nodes are scored without being remembered.
 MEMO_CAP = 48
 
 
@@ -213,15 +215,27 @@ class _Layout:
         #: The features that take both of their values in the node.
         self.feature = np.flatnonzero((count > 0) & (count < low.shape[1]))
         self.low = low[self.feature]
-        #: (feature, threshold) -> the children's row keys, once split there.
-        self.children: dict[tuple[int, float], tuple[bytes, bytes]] = {}
+        #: feature -> the children's rows, once split there.
+        self.children: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class _TreeBuilder:
-    """Exact greedy split search over node-partitioned presorted indices."""
+    """Exact greedy split search: node-partitioned sorted orders, or a two-valued matrix's node layouts."""
 
     def __init__(self, f: np.ndarray):
         self.f_t = np.ascontiguousarray(f.T)
+        lo, hi = self.f_t.min(axis=1), self.f_t.max(axis=1)
+        low = self.f_t == lo[:, None]
+        self.memo: dict[bytes, _Layout] | None = None
+        self.memo_bytes = 0
+        if (low | (self.f_t == hi[:, None])).all():
+            # Every feature holds at most two values, so few row sets recur
+            # round after round: each one's layout is kept, keyed by the bytes
+            # of its ascending rows.  The rows at a feature's lower value go
+            # left, at a threshold fixed for the builder.
+            self.memo, self.low, self.order = {}, low, None
+            self.threshold = [_threshold(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+            return
         # Row order per feature, sorted once and shared across all rounds.
         self.order = np.argsort(self.f_t, axis=1, kind="stable")
         # Add to a row id to find it in f_t.ravel() under each feature.
@@ -231,24 +245,12 @@ class _TreeBuilder:
         ranked = np.take_along_axis(self.f_t, self.order, axis=1)
         steps = np.count_nonzero(ranked[:, :-1] != ranked[:, 1:], axis=1)
         self.tied = np.flatnonzero(steps < f.shape[0] - 1)
-        # When every feature holds at most two values, few row sets recur
-        # round after round: each one's layout is kept, keyed by the bytes
-        # of its ascending rows.
-        self.memo: dict[bytes, _Layout] | None = {} if (steps <= 1).all() else None
-        self.memo_bytes = 0
-        if self.memo is not None:
-            # Each feature's one cut lies between its two values: the rows at
-            # the lower one go left, at a threshold fixed for the builder.
-            self.low = self.f_t == ranked[:, :1]
-            lo, hi = ranked[:, 0].tolist(), ranked[:, -1].tolist()
-            self.threshold = [_threshold(a, b) for a, b in zip(lo, hi)]
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
         nodes: list[list] = []
         row_values = np.empty(self.f_t.shape[1])
-        order = self.order if self.memo is None else None
-        self._grow(np.arange(self.f_t.shape[1]), None, order, 0, g, h, nodes, row_values)
+        self._grow(np.arange(self.f_t.shape[1]), self.order, 0, g, h, nodes, row_values)
         feature, threshold, left, right, value, depth = zip(*nodes)
         tree = Tree(
             np.asarray(feature, dtype=np.int32),
@@ -260,34 +262,33 @@ class _TreeBuilder:
         )
         return tree, row_values
 
-    def _grow(self, rows, key, order, depth, g, h, nodes, row_values) -> int:
+    def _grow(self, rows, order, depth, g, h, nodes, row_values) -> int:
         """Append the subtree of one node to ``nodes`` (each entry is feature,
         threshold, left, right, value, depth) and return its index.
 
-        ``key`` is ``rows.tobytes()`` when the parent's remembered children
-        hold it, else None.  ``order`` is the node's rows in every feature's
-        sorted order, (d, m), or None where no split search needs it: at
-        ``MAX_DEPTH`` and on a two-valued matrix.
+        ``order`` is the node's rows in every feature's sorted order, (d, m),
+        or None where no split search needs it: at ``MAX_DEPTH`` and on a
+        two-valued matrix.
         """
         # rows stay ascending, so a node sum adds its operands in row order.
         gm, hm = g[rows], h[rows]
         g_sum = float(gm.sum())
         h_sum = float(hm.sum())
-        split = kept = None
+        split = layout = kept = None
         if depth < MAX_DEPTH and rows.size >= 2:
             if self.memo is None:
                 split = self._best_split(order, g, h, g_sum, h_sum)
             else:
-                if key is None:
-                    key, key_bytes = rows.tobytes(), rows.nbytes
-                else:  # already counted with the parent's children
-                    key_bytes = 0
+                key = rows.tobytes()
                 layout = kept = self.memo.get(key)
                 if kept is None:
                     layout = _Layout(self.low[:, rows])
-                    if self._reserve(key_bytes + layout.feature.nbytes + layout.low.nbytes):
+                    if self._reserve(len(key) + layout.feature.nbytes + layout.low.nbytes):
                         self.memo[key] = kept = layout
-                split = self._boundary_split(layout, gm, hm, g_sum, h_sum)
+                k = self._boundary_split(layout, gm, hm, g_sum, h_sum)
+                if k >= 0:
+                    j = int(layout.feature[k])
+                    split = j, self.threshold[j]
         node = len(nodes)
         if split is None:
             v = -g_sum / (h_sum + L2) * LEARNING_RATE
@@ -296,35 +297,36 @@ class _TreeBuilder:
             return node
         j, thr = split
         nodes.append([j, thr, -1, -1, 0.0, depth])
-        known = None if kept is None else kept.children.get(split)
+        known = None if kept is None else kept.children.get(j)
         order_left = order_right = None
         if known is not None:
-            key_left, key_right = known
-            rows_left, rows_right = np.frombuffer(key_left, np.intp), np.frombuffer(key_right, np.intp)
+            rows_left, rows_right = known
         else:
-            go_left = self.f_t[j] <= thr
-            # A stable partition keeps each feature's sorted order, and every
-            # order row holds the same node rows, so each child is rectangular.
+            if layout is None:
+                go_left = self.f_t[j] <= thr
+                left_mask = go_left[rows]
+            else:  # the layout's mask row: the node's rows at j's lower value
+                left_mask = layout.low[k]
             # (np.compress is much faster than boolean indexing here.)
-            left_mask = go_left[rows]
             rows_left, rows_right = np.compress(left_mask, rows), np.compress(~left_mask, rows)
             if order is not None and depth + 1 < MAX_DEPTH:  # leaves need only their rows
+                # A stable partition keeps each feature's sorted order, and
+                # every order row holds the same node rows, so each child is
+                # rectangular.
                 order_mask = go_left[order].ravel()
                 order_left = np.compress(order_mask, order).reshape(order.shape[0], rows_left.size)
                 order_right = np.compress(~order_mask, order).reshape(order.shape[0], -1)
-            key_left = key_right = None
             if kept is not None and self._reserve(rows.nbytes):
-                key_left, key_right = rows_left.tobytes(), rows_right.tobytes()
-                kept.children[split] = (key_left, key_right)
-        nodes[node][2] = self._grow(rows_left, key_left, order_left, depth + 1, g, h, nodes, row_values)
-        nodes[node][3] = self._grow(rows_right, key_right, order_right, depth + 1, g, h, nodes, row_values)
+                kept.children[j] = rows_left, rows_right
+        nodes[node][2] = self._grow(rows_left, order_left, depth + 1, g, h, nodes, row_values)
+        nodes[node][3] = self._grow(rows_right, order_right, depth + 1, g, h, nodes, row_values)
         return node
 
     def _reserve(self, nbytes: int) -> bool:
         """Count ``nbytes`` more bytes in the memo and return True, or return
-        False if that would pass ``MEMO_CAP`` bytes per byte of the shared
-        order."""
-        if self.memo_bytes + nbytes > MEMO_CAP * self.order.nbytes:
+        False if that would pass ``MEMO_CAP`` bytes per byte of the feature
+        matrix."""
+        if self.memo_bytes + nbytes > MEMO_CAP * self.f_t.nbytes:
             return False
         self.memo_bytes += nbytes
         return True
@@ -356,23 +358,20 @@ class _TreeBuilder:
         f_j = self.f_t[j]
         return j, _threshold(float(f_j[order[j, cut[j]]]), float(f_j[order[j, cut[j] + 1]]))
 
-    def _boundary_split(self, layout, gm, hm, g_sum, h_sum):
+    def _boundary_split(self, layout, gm, hm, g_sum, h_sum) -> int:
         """``_best_split`` of a node of a two-valued matrix, from its layout
         and its rows' ``gm`` and ``hm``: only the one cut of each feature
-        between its two values is scored."""
+        between its two values is scored.  Returns the chosen feature's index
+        in ``layout.feature``, or -1."""
         if layout.feature.size == 0:  # every feature constant in the node
-            return None
+            return -1
         # The left sums add the low rows' g and h in row order, as the sorted
         # prefix of _best_split's cumsum does; the +0.0 added for every other
         # row changes no sum but a -0.0, which h never holds and g's gain
         # squares away.
         gl = np.cumsum(np.where(layout.low, gm, 0.0), axis=1)[:, -1]
         hl = np.cumsum(np.where(layout.low, hm, 0.0), axis=1)[:, -1]
-        k = _best_cell(gl.tolist(), hl.tolist(), g_sum, h_sum)
-        if k < 0:
-            return None
-        j = int(layout.feature[k])
-        return j, self.threshold[j]
+        return _best_cell(gl.tolist(), hl.tolist(), g_sum, h_sum)
 
     @staticmethod
     def _gain(gl, hl, ok, g_sum, h_sum):
@@ -473,10 +472,12 @@ class BoostedTrees:
     val_loss: list[float]
 
     def predict_margin(self, f: np.ndarray) -> np.ndarray:
-        margin = np.zeros(f.shape[0])
+        # Equal rows share a leaf in every tree: score one of each and gather.
+        first, group = _row_groups(f, _canonical_order(f, np.zeros(f.shape[0])))
+        f, margin = f[first], np.zeros(first.size)
         for tree in self.trees[: self.best_round]:
             margin += tree.predict(f)
-        return margin
+        return margin[group]
 
     def predict_score(self, f: np.ndarray) -> np.ndarray:
         return _sigmoid(self.predict_margin(f))
@@ -526,17 +527,14 @@ def fit_boosted_trees(
         tree, delta = builder.build(cp - y_sum, cp * (1.0 - p))
         # Deterministic backoff: halve the step until the training loss
         # does not increase (runs at most a handful of times near
-        # saturation, usually zero).
-        for _ in range(40):
+        # saturation, usually zero); after 40 halvings keep the last step.
+        for halvings in range(41):
             stepped = margin + delta
             loss = _logloss(stepped, y, rows)
-            if loss <= train_loss[-1]:
+            if loss <= train_loss[-1] or halvings == 40:
                 break
             delta *= 0.5
             tree.scale_values(0.5)
-        else:  # 40 halvings and still worse: keep the last, smallest step
-            stepped = margin + delta
-            loss = _logloss(stepped, y, rows)
         margin = stepped
         margin_val = margin_val + tree.predict(f_val)
         trees.append(tree)

@@ -13,6 +13,7 @@ Two families:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ class PostNonlinearConfig:
         for name in ("d_z", "n"):
             if require_number(name, getattr(self, name), integer=True) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # Written so that NaN fails: every comparison with it is False.
-        if not -np.inf < require_number("a_xy", self.a_xy) < np.inf:
+        # Written so that NaN fails: every comparison with it is False.  An
+        # int compares exactly, so one past the float range fails too.
+        if not abs(require_number("a_xy", self.a_xy)) <= sys.float_info.max:
             raise ValueError(f"a_xy must be finite, got {self.a_xy!r}")
         require_number("seed", self.seed, integer=True)
         if not isinstance(self.ci, bool):
@@ -96,7 +98,13 @@ def gen_postnonlinear(cfg: PostNonlinearConfig) -> Dataset:
     if cfg.ci:
         y = _apply_nonlinearity(f2, z @ a_y + eta2)
     else:
-        y = _apply_nonlinearity(f2, z @ a_y + cfg.a_xy * x + eta2)
+        # tanh and expneg map an infinite argument to a finite y, so both
+        # sides of the nonlinearity are checked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = z @ a_y + cfg.a_xy * x + eta2
+            y = _apply_nonlinearity(f2, v)
+        if not (np.isfinite(v).all() and np.isfinite(y).all()):
+            raise ValueError(f"a_xy = {cfg.a_xy!r} overflows the dependent y equation")
     data = np.column_stack([x, y, z])
     x_cols = (Column("x_0"),)
     y_cols = (Column("y_0"),)
@@ -141,10 +149,12 @@ def gen_discrete_joint(sizes, ci: bool, seed: int) -> DiscreteJoint:
     Dirichlet(1) draws, so the factorization holds to machine precision.
     Generic instances are one Dirichlet(1) draw over the full cube.
     """
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(int(require_number(f"sizes[{i}]", s, integer=True)) for i, s in enumerate(sizes))
     if len(sizes) != 3 or any(s < 2 or s > 6 for s in sizes):
         raise SizeOutOfRange(f"alphabet sizes must each be in [2, 6], got {sizes}")
-    rng = derive_rng(seed, "discrete-joint")
+    if not isinstance(ci, bool):
+        raise ValueError(f"ci must be a bool, got {ci!r}")
+    rng = derive_rng(require_number("seed", seed, integer=True), "discrete-joint")
     nx, ny, nz = sizes
     if ci:
         p_z = rng.dirichlet(np.ones(nz))
@@ -159,9 +169,9 @@ def gen_discrete_joint(sizes, ci: bool, seed: int) -> DiscreteJoint:
 
 def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> Dataset:
     """n iid draws from the joint, returned as three categorical columns."""
-    if n < 1:
+    if require_number("n", n, integer=True) < 1:
         raise ValueError("n must be >= 1")
-    rng = derive_rng(seed, "discrete-sample")
+    rng = derive_rng(require_number("seed", seed, integer=True), "discrete-sample")
     flat = joint.pmf.ravel()
     draws = rng.choice(flat.size, size=n, p=flat)
     xi, yi, zi = np.unravel_index(draws, joint.sizes)

@@ -238,6 +238,27 @@ class TestBoostedTrees:
         assert shapes == [(distinct, f.shape[1])]
         assert (distinct < 600) == (kind == "one_hot")
 
+    @pytest.mark.parametrize("kind", ["one_hot", "mixed"])
+    def test_margin_of_repeated_rows_is_the_sum_over_the_kept_trees(self, kind):
+        """predict_margin scores one row per group of equal rows; each margin
+        is still the sum of the kept trees' predictions, in tree order.  The
+        mixed matrix adds a coarse continuous column, some NaN cells, which
+        never equal another row, and a -0.0 beside 0.0, which do."""
+        f, y = one_hot_problem(seed=43, n=1200)
+        if kind == "mixed":
+            rng = derive_rng(44, "repeated-rows")
+            f = np.column_stack([f, np.round(rng.standard_normal(f.shape[0]), 0)])
+        model = fit_boosted_trees(f[:800], y[:800], f[800:1000], y[800:1000], GbtConfig(rounds=60))
+        assert model.best_round > 0
+        test = f[1000:]
+        if kind == "mixed":
+            test[rng.random(test.shape) < 0.02] = np.nan
+            test[test == 0.0] *= np.where(rng.random(np.count_nonzero(test == 0.0)) < 0.5, -1.0, 1.0)
+        expected = np.zeros(test.shape[0])
+        for tree in model.trees[: model.best_round]:
+            expected += tree.predict(test)
+        assert np.array_equal(model.predict_margin(test), expected)
+
     def test_permutation_invariance(self):
         f, y = blob_problem(n=600, seed=5)
         rng = derive_rng(3, "perm")
@@ -721,7 +742,7 @@ class TestTreeBuilder:
         f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-rng.standard_normal(27)[codes @ [9, 3, 1]]))).astype(np.float64)
         builder = _TreeBuilder(f)
-        assert builder.tied.size == f.shape[1] == 9
+        assert f.shape[1] == 9 and builder.memo is not None and builder.order is None
         margin = np.zeros(n)
         for _ in range(3):  # a reused builder must not carry state between builds
             p = 1.0 / (1.0 + np.exp(-margin))
@@ -813,17 +834,17 @@ class TestTreeBuilder:
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
         """Many binary columns with few repeated rows give new row sets every
-        round: the memo stops at MEMO_CAP bytes per byte of the order, and
-        the trees still match the reference and an uncapped memo's.  These
-        rows fill about 26 bytes per byte of the order uncapped, so the cap
-        is lowered to bind."""
+        round: the memo stops at MEMO_CAP bytes per byte of the feature
+        matrix, and the trees still match the reference and an uncapped
+        memo's.  These rows fill about 35 bytes per byte of the matrix
+        uncapped, so the cap is lowered to bind."""
         monkeypatch.setattr(classify, "MEMO_CAP", 16)
         rng = derive_rng(36, "memo-cap")
         n = 600
         f = (rng.random((n, 12)) < 0.5).astype(np.float64)
         capped, uncapped = _TreeBuilder(f), _TreeBuilder(f)
         assert capped.memo is not None
-        cap = classify.MEMO_CAP * capped.order.nbytes
+        cap = classify.MEMO_CAP * capped.f_t.nbytes
         for _ in range(60):
             g, h = rng.standard_normal(n), np.ones(n)
             tree, row_values = capped.build(g, h)
@@ -835,6 +856,29 @@ class TestTreeBuilder:
             assert_same_tree(tree, free)
             assert np.array_equal(row_values, free_values)
         assert uncapped.memo_bytes > cap >= capped.memo_bytes
+
+    def test_remembered_children_are_cut_from_the_layout_mask(self):
+        """A two-valued builder keeps no sorted state, and each remembered
+        split's children are its node's rows at and off the split feature's
+        lower value, as the layout's mask row gives them."""
+        rng = derive_rng(39, "children")
+        n = 600
+        codes = rng.integers(0, 3, (n, 3))
+        f = FeatureEncoder((Column("a", "categorical", 3),) * 3).transform(codes)
+        builder = _TreeBuilder(f)
+        assert builder.order is None and not hasattr(builder, "tied")
+        for _ in range(4):
+            builder.build(rng.standard_normal(n), np.ones(n))
+        pairs = 0
+        for key, layout in builder.memo.items():
+            rows = np.frombuffer(key, np.intp)
+            for j, (left, right) in layout.children.items():
+                (k,) = np.flatnonzero(layout.feature == j)
+                assert np.array_equal(left, np.compress(layout.low[k], rows))
+                assert np.array_equal(right, np.compress(~layout.low[k], rows))
+                assert np.array_equal(left, rows[f[rows, j] <= builder.threshold[j]])
+                pairs += 1
+        assert pairs > 0
 
     @pytest.mark.parametrize(
         "levels",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -50,6 +51,20 @@ class TestGen:
         meta = json.loads((tmp_path / "disc.csv.meta.json").read_text())
         assert meta["columns"]["x_0"]["cardinality"] == 3
         assert meta["columns"]["z_0"]["cardinality"] == 4
+
+    def test_overflowing_a_xy_exits_two_naming_it(self, tmp_path, capsys):
+        """A finite a_xy that overflows the dependent y equation is refused by
+        name, not reported as NaN or Inf cells after numpy's overflow warnings
+        (which fail the command here, as errors)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(
+                capsys, "gen", "--data-out", str(tmp_path / "out.csv"), "--a-xy", "1e308", "--no-ci"
+            )
+        assert code == 2
+        assert stdout == ""
+        assert "a_xy = 1e+308 overflows" in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTest:

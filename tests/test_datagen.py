@@ -1,5 +1,7 @@
 """Synthetic generators: post-nonlinear data and exact discrete joints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,37 @@ class TestPostNonlinear:
         with pytest.raises(ValueError):
             PostNonlinearConfig(**{"d_z": 2, "n": 10, "ci": True, **bad})
 
-    @pytest.mark.parametrize("a_xy", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "a_xy",
+        [
+            float("nan"),
+            float("inf"),
+            -float("inf"),
+            pytest.param(10**400, id="int_past_float_range"),
+            pytest.param(-(10**400), id="negative_int_past_float_range"),
+        ],
+    )
     def test_non_finite_a_xy_is_refused(self, a_xy):
         """NaN would reach the manifest as invalid JSON and the dependent
-        datasets as NaN cells."""
+        datasets as NaN cells; an int past the float range would die in
+        the generator with a bare OverflowError."""
         with pytest.raises(ValueError, match="a_xy must be finite"):
             PostNonlinearConfig(d_z=2, n=10, ci=False, a_xy=a_xy)
+
+    @pytest.mark.parametrize("f2, seed", [("square", 3), ("cube", 0), ("tanh", 7), ("expneg", 1)])
+    def test_overflowing_dependent_equation_names_a_xy(self, f2, seed):
+        """A finite a_xy can still overflow y = f2(z a_y + a_xy x + eta2):
+        that is refused by name, with no numpy warning, also where tanh or
+        expneg would map the infinite argument to a finite y.  The
+        independent ground truth never sees a_xy."""
+        cfg = PostNonlinearConfig(d_z=2, n=200, ci=False, a_xy=1e308, seed=seed)
+        assert _pnl_draws(cfg)[6] == f2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="a_xy = 1e\\+308 overflows"):
+                gen_postnonlinear(cfg)
+            independent = PostNonlinearConfig(d_z=2, n=200, ci=True, a_xy=1e308, seed=seed)
+            assert np.isfinite(gen_postnonlinear(independent).data).all()
 
 
 class TestDiscreteJoint:
@@ -128,6 +155,36 @@ class TestDiscreteJoint:
             gen_discrete_joint((1, 2, 2), ci=True, seed=0)
         with pytest.raises(SizeOutOfRange):
             gen_discrete_joint((2, 7, 2), ci=False, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"sizes": (3, 3, 3.7)}, "sizes\\[2\\]"),
+            ({"sizes": ("3", 3, 3)}, "sizes\\[0\\]"),
+            ({"sizes": (3, True, 3)}, "sizes\\[1\\]"),
+            ({"ci": "no"}, "ci"),
+            ({"ci": 1}, "ci"),
+            ({"seed": True}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "3"}, "seed"),
+        ],
+        ids=["float_size", "str_size", "bool_size", "str_ci", "int_ci", "bool_seed", "float_seed", "str_seed"],
+    )
+    def test_joint_argument_types(self, bad, name):
+        """Nothing is coerced: a float size used to be truncated, a string
+        ci was truthy, and a bad seed died with a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gen_discrete_joint(**{"sizes": (3, 3, 3), "ci": True, "seed": 0, **bad})
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [({"n": 2.5}, "n"), ({"n": True}, "n"), ({"n": "10"}, "n"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed")],
+        ids=["float_n", "bool_n", "str_n", "float_seed", "bool_seed"],
+    )
+    def test_sample_argument_types(self, bad, name):
+        joint = gen_discrete_joint((2, 2, 2), ci=True, seed=0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sample_discrete(**{"joint": joint, "n": 10, "seed": 0, **bad})
 
     def test_invalid_pmf_rejected(self):
         with pytest.raises(ValueError):
