@@ -31,22 +31,21 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   the children of every split taken there.  A node's left sums are
   row-wise cumsums of its g and h with each row off the mask replaced by
   +0.0, and its few cuts are scored in a Python loop, which costs less
-  than numpy's fixed cost per call; a new split cuts the node's rows by
-  its feature's mask row, and a remembered one skips the cut.  That is
-  bit-identical to scoring every cell: the layout is a pure function of
-  the row set; the cumsum adds the lower value's rows in row order, the
-  order of the stable sort; adding +0.0 changes no sum except -0.0, whose
-  sign a gain squares away in g and which h = c*p*(1 - p) >= +0 never
-  holds; each gain is ``_gain``'s IEEE operations in the same order on the
-  same sums (Python floats are IEEE doubles, and a zero denominator, which
-  Python refuses, is divided by numpy instead, so 0/0 is still NaN and x/0
-  inf); the first maximum over the cuts in feature order keeps both
-  tie-breaks, and a NaN gain rules out its feature's one cut.  The memo
-  holds at most ``MEMO_CAP`` bytes per byte of the feature matrix; past
-  that, nodes are scored as new ones and not stored.  Features with more
-  values (mixture-shaped, rounded or ordinal) give new row sets round
-  after round, and there the memo cost as much as the dense search or
-  more, so those matrices take the dense search;
+  than numpy's fixed cost per call; a remembered split skips the cut of its
+  node's rows.  That is bit-identical to scoring every cell: the layout is a
+  pure function of the row set; the cumsum adds the lower value's rows in
+  row order, the order of the stable sort; adding +0.0 changes no sum except
+  -0.0, whose sign a gain squares away in g and which h = c*p*(1 - p) >= +0
+  never holds; each gain is ``_gain``'s IEEE operations in the same order on
+  the same sums (Python floats are IEEE doubles, and a zero denominator,
+  which Python refuses, is divided by numpy instead, so 0/0 is still NaN and
+  x/0 inf); the first maximum over the cuts in feature order keeps both
+  tie-breaks, and a NaN gain rules out its feature's one cut.  The memo holds
+  at most ``MEMO_CAP`` bytes per byte of the feature matrix; past that,
+  nodes are scored as new ones and not stored.  Features with more values
+  (mixture-shaped, rounded or ordinal) give new row sets round after round,
+  and there the memo cost as much as the dense search or more, so those
+  matrices take the dense search;
 * rows with equal features fall in the same leaf of every tree, so they
   share a margin.  ``_canonical_order`` sorts them together and
   ``_row_groups`` numbers each run (the mimic groups its z rows with the
@@ -274,7 +273,7 @@ class _TreeBuilder:
         gm, hm = g[rows], h[rows]
         g_sum = float(gm.sum())
         h_sum = float(hm.sum())
-        split = layout = kept = None
+        split = kept = None
         if depth < MAX_DEPTH and rows.size >= 2:
             if self.memo is None:
                 split = self._best_split(order, g, h, g_sum, h_sum)
@@ -285,10 +284,7 @@ class _TreeBuilder:
                     layout = _Layout(self.low[:, rows])
                     if self._reserve(len(key) + layout.feature.nbytes + layout.low.nbytes):
                         self.memo[key] = kept = layout
-                k = self._boundary_split(layout, gm, hm, g_sum, h_sum)
-                if k >= 0:
-                    j = int(layout.feature[k])
-                    split = j, self.threshold[j]
+                split = self._boundary_split(layout, gm, hm, g_sum, h_sum)
         node = len(nodes)
         if split is None:
             v = -g_sum / (h_sum + L2) * LEARNING_RATE
@@ -302,11 +298,8 @@ class _TreeBuilder:
         if known is not None:
             rows_left, rows_right = known
         else:
-            if layout is None:
-                go_left = self.f_t[j] <= thr
-                left_mask = go_left[rows]
-            else:  # the layout's mask row: the node's rows at j's lower value
-                left_mask = layout.low[k]
+            go_left = self.f_t[j] <= thr
+            left_mask = go_left[rows]
             # (np.compress is much faster than boolean indexing here.)
             rows_left, rows_right = np.compress(left_mask, rows), np.compress(~left_mask, rows)
             if order is not None and depth + 1 < MAX_DEPTH:  # leaves need only their rows
@@ -358,20 +351,23 @@ class _TreeBuilder:
         f_j = self.f_t[j]
         return j, _threshold(float(f_j[order[j, cut[j]]]), float(f_j[order[j, cut[j] + 1]]))
 
-    def _boundary_split(self, layout, gm, hm, g_sum, h_sum) -> int:
+    def _boundary_split(self, layout, gm, hm, g_sum, h_sum):
         """``_best_split`` of a node of a two-valued matrix, from its layout
         and its rows' ``gm`` and ``hm``: only the one cut of each feature
-        between its two values is scored.  Returns the chosen feature's index
-        in ``layout.feature``, or -1."""
+        between its two values is scored."""
         if layout.feature.size == 0:  # every feature constant in the node
-            return -1
+            return None
         # The left sums add the low rows' g and h in row order, as the sorted
         # prefix of _best_split's cumsum does; the +0.0 added for every other
         # row changes no sum but a -0.0, which h never holds and g's gain
         # squares away.
         gl = np.cumsum(np.where(layout.low, gm, 0.0), axis=1)[:, -1]
         hl = np.cumsum(np.where(layout.low, hm, 0.0), axis=1)[:, -1]
-        return _best_cell(gl.tolist(), hl.tolist(), g_sum, h_sum)
+        k = _best_cell(gl.tolist(), hl.tolist(), g_sum, h_sum)
+        if k < 0:
+            return None
+        j = int(layout.feature[k])
+        return j, self.threshold[j]
 
     @staticmethod
     def _gain(gl, hl, ok, g_sum, h_sum):

@@ -149,7 +149,7 @@ def gen_discrete_joint(sizes, ci: bool, seed: int) -> DiscreteJoint:
     Dirichlet(1) draws, so the factorization holds to machine precision.
     Generic instances are one Dirichlet(1) draw over the full cube.
     """
-    sizes = tuple(int(require_number(f"sizes[{i}]", s, integer=True)) for i, s in enumerate(sizes))
+    sizes = tuple(int(require_number("sizes", s, integer=True)) for s in sizes)
     if len(sizes) != 3 or any(s < 2 or s > 6 for s in sizes):
         raise SizeOutOfRange(f"alphabet sizes must each be in [2, 6], got {sizes}")
     if not isinstance(ci, bool):

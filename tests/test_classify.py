@@ -857,10 +857,10 @@ class TestTreeBuilder:
             assert np.array_equal(row_values, free_values)
         assert uncapped.memo_bytes > cap >= capped.memo_bytes
 
-    def test_remembered_children_are_cut_from_the_layout_mask(self):
+    def test_remembered_children_match_the_layout_mask(self):
         """A two-valued builder keeps no sorted state, and each remembered
         split's children are its node's rows at and off the split feature's
-        lower value, as the layout's mask row gives them."""
+        lower value: the layout's mask row and the threshold cut alike."""
         rng = derive_rng(39, "children")
         n = 600
         codes = rng.integers(0, 3, (n, 3))
