@@ -12,18 +12,16 @@ the ``verify`` battery.
 """
 
 from .bench import BenchmarkConfig, BenchmarkReport, roc_auc, run_benchmark, run_relations
-from .classify import GbtConfig, classifier_error, gbt_train
+from .classify import GbtConfig, classifier_error
 from .core import (
     Column,
     DEFAULT_SEED,
     Dataset,
-    LabeledDataset,
     Relation,
     read_dataset,
     read_relations,
     read_table,
     split_three_way,
-    strip_x,
     write_dataset,
 )
 from .datagen import (
@@ -57,7 +55,6 @@ __all__ = [
     "DiscreteJoint",
     "GapReport",
     "GbtConfig",
-    "LabeledDataset",
     "MimicModel",
     "PostNonlinearConfig",
     "Relation",
@@ -70,7 +67,6 @@ __all__ = [
     "fit_reg_mimic",
     "gap_pvalue",
     "gap_report",
-    "gbt_train",
     "gen_discrete_joint",
     "gen_postnonlinear",
     "is_ci",
@@ -84,7 +80,6 @@ __all__ = [
     "run_verify",
     "sample_discrete",
     "split_three_way",
-    "strip_x",
     "tv_distance",
     "uniform_mimic_bound",
     "write_dataset",

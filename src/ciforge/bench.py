@@ -161,7 +161,12 @@ def benchmark_cases(config: BenchmarkConfig) -> list[Case]:
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     """Generate, test, and score a full sweep; deterministic given the seed."""
-    rows = run_cases(benchmark_cases(config), config.parallel)
+    cases = benchmark_cases(config)
+    if config.n_h1:
+        # The H0 cases come first; an a_xy that overflows the dependent
+        # equation is refused here, before any of their tests run.
+        cases[config.n_h0].make()
+    rows = run_cases(cases, config.parallel)
     return BenchmarkReport(rows=tuple(rows), roc_auc=summarize(rows)["roc_auc"], config=asdict(config))
 
 

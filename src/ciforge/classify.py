@@ -76,10 +76,9 @@ when it runs, so a test can patch them.  ``GbtConfig`` holds the round cap.
 The booster's overflow-free sigmoid ``_sigmoid`` and its mean logistic loss
 on raw margins ``_logloss`` live here too; they are the package's only ones.
 
-A Dataset-level wrapper scores the ensemble.  It addresses columns by
-position: a dataset is encoded only if its columns equal, in order, the
-ones the model was trained on, so a model trained without x columns accepts
-only rows without x and its predictions cannot depend on x.
+A fitted ensemble addresses its features by position, so it records the
+width of its training matrix and scores only matrices of that width: a
+model trained without x's encoded columns cannot read them as y's or z's.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Column, Dataset, LabeledDataset, require_number
+from .core import Column, require_number
 from .errors import EmptyTest, SchemaMismatch, SingleClass
 
 ONE_HOT_CAP = 32
@@ -119,6 +118,10 @@ class FeatureEncoder:
 
     cols: tuple[Column, ...]
 
+    def widths(self) -> list[int]:
+        """Features of each column, in column order: a one-hot column's cardinality, else 1."""
+        return [c.cardinality if c.kind == "categorical" and c.cardinality <= ONE_HOT_CAP else 1 for c in self.cols]
+
     def transform(self, block: np.ndarray) -> np.ndarray:
         block = np.atleast_2d(np.asarray(block, dtype=np.float64))
         if block.shape[1] != len(self.cols):
@@ -126,10 +129,10 @@ class FeatureEncoder:
                 f"expected {len(self.cols)} columns, got {block.shape[1]}"
             )
         parts = []
-        for j, c in enumerate(self.cols):
+        for j, width in enumerate(self.widths()):
             v = block[:, j]
-            if c.kind == "categorical" and c.cardinality <= ONE_HOT_CAP:
-                hot = np.zeros((v.size, c.cardinality))
+            if width > 1:  # one-hot: a categorical column has cardinality >= 2
+                hot = np.zeros((v.size, width))
                 hot[np.arange(v.size), v.astype(np.intp)] = 1.0
                 parts.append(hot)
             else:
@@ -466,8 +469,12 @@ class BoostedTrees:
     best_round: int
     train_loss: list[float]
     val_loss: list[float]
+    #: Columns of the training matrix; a matrix of any other width is refused.
+    width: int
 
     def predict_margin(self, f: np.ndarray) -> np.ndarray:
+        if f.shape[1] != self.width:
+            raise SchemaMismatch(f"model was fit on {self.width} feature columns, got {f.shape[1]}")
         # Equal rows share a leaf in every tree: score one of each and gather.
         first, group = _row_groups(f, _canonical_order(f, np.zeros(f.shape[0])))
         f, margin = f[first], np.zeros(first.size)
@@ -498,6 +505,8 @@ def fit_boosted_trees(
     yv = np.asarray(y_val, dtype=np.float64)
     if np.unique(y).size < 2:
         raise SingleClass("training labels contain a single class")
+    if f_val.shape[1] != f_train.shape[1]:
+        raise SchemaMismatch(f"validation matrix has {f_val.shape[1]} feature columns, training has {f_train.shape[1]}")
     # Canonical row order (features, then label) makes every accumulation
     # order-independent, so training is bit-identical under row permutation.
     canon = _canonical_order(f_train, y)
@@ -541,45 +550,7 @@ def fit_boosted_trees(
             best_round = len(val_loss) - 1
         elif len(val_loss) - 1 - best_round >= PATIENCE:
             break
-    return BoostedTrees(trees, best_round, train_loss, val_loss)
-
-
-# ---------------------------------------------------------------------------
-# Dataset-level classifier wrapper
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DatasetClassifier:
-    """A boosted ensemble plus the encoder of the columns it was fit on.
-
-    ``encoder.cols`` is the training set's ``Dataset.columns``, and only a
-    dataset with exactly those columns, in that order, can be scored.
-    """
-
-    core: BoostedTrees
-    encoder: FeatureEncoder
-
-    def predict_score(self, ds: Dataset) -> np.ndarray:
-        return self.core.predict_score(_features(self.encoder, ds))
-
-
-def _features(encoder: FeatureEncoder, ds: Dataset) -> np.ndarray:
-    """Encoded feature matrix of a dataset whose columns are the encoder's."""
-    if ds.columns != encoder.cols:
-        raise SchemaMismatch(
-            f"dataset columns {[c.name for c in ds.columns]} do not match the model's "
-            f"{[c.name for c in encoder.cols]}"
-        )
-    return encoder.transform(ds.data)
-
-
-def gbt_train(train: LabeledDataset, val: LabeledDataset, config: GbtConfig = GbtConfig()) -> DatasetClassifier:
-    """Fit the boosted-tree classifier on a labeled dataset."""
-    encoder = FeatureEncoder(train.base.columns)
-    f_tr, f_val = _features(encoder, train.base), _features(encoder, val.base)
-    booster = fit_boosted_trees(f_tr, train.labels, f_val, val.labels, config)
-    return DatasetClassifier(booster, encoder)
+    return BoostedTrees(trees, best_round, train_loss, val_loss, f_train.shape[1])
 
 
 @dataclass(frozen=True)
@@ -596,11 +567,10 @@ class ClassifierError:
         object.__setattr__(self, "losses", losses)
 
 
-def classifier_error(model, test: LabeledDataset) -> ClassifierError:
-    """Zero-one error at score threshold 0.5 on a labeled test set."""
-    if test.n_rows == 0:
+def classifier_error(model, f: np.ndarray, labels: np.ndarray) -> ClassifierError:
+    """Zero-one error at score threshold 0.5 on the test rows ``f`` with their 0/1 ``labels``."""
+    if f.shape[0] == 0:
         raise EmptyTest("empty test set")
-    scores = model.predict_score(test.base)
-    preds = (scores >= 0.5).astype(np.int8)
-    losses = (preds != test.labels).astype(np.int8)
-    return ClassifierError(error_rate=float(losses.mean()), n_test=test.n_rows, losses=losses)
+    preds = (model.predict_score(f) >= 0.5).astype(np.int8)
+    losses = (preds != labels).astype(np.int8)
+    return ClassifierError(error_rate=float(losses.mean()), n_test=f.shape[0], losses=losses)

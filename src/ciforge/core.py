@@ -1,4 +1,4 @@
-"""Datasets, labels, deterministic splits, and column metadata.
+"""Datasets, deterministic splits, column metadata, and the CSV formats.
 
 A :class:`Dataset` is an immutable row-major float matrix partitioned into
 x, y, and z column groups.  Categorical columns are stored as integer codes
@@ -163,31 +163,6 @@ class Dataset:
         return Dataset(self.x_cols, self.y_cols, self.z_cols, data)
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """A dataset with binary provenance labels: 1 = original rows, 0 = mimicked."""
-
-    base: Dataset
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int8)
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-        if lab.shape != (self.base.n_rows,):
-            raise SchemaMismatch("labels must be one per row")
-        if lab.size and not np.all((lab == 0) | (lab == 1)):
-            raise SchemaMismatch("labels must be 0 or 1")
-
-    @property
-    def n_rows(self) -> int:
-        return self.base.n_rows
-
-    def take(self, rows) -> "LabeledDataset":
-        idx = _row_index(rows)
-        return LabeledDataset(self.base.take(idx), self.labels[idx])
-
-
 def split_three_way(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition rows into three disjoint sets of size ~n/3.
 
@@ -202,26 +177,6 @@ def split_three_way(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.
     sizes = (base + (1 if rem >= 1 else 0), base + (1 if rem >= 2 else 0), base)
     cut = sizes[0] + sizes[1]
     return perm[: sizes[0]], perm[sizes[0] : cut], perm[cut:]
-
-
-def drop_x(ds: Dataset) -> Dataset:
-    """Dataset with all x columns removed; y, z untouched."""
-    return Dataset((), ds.y_cols, ds.z_cols, ds.data[:, ds.n_x :])
-
-
-def strip_x(labeled: LabeledDataset) -> LabeledDataset:
-    """Remove the x block from a labeled dataset, keeping rows and labels."""
-    return LabeledDataset(drop_x(labeled.base), labeled.labels)
-
-
-def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
-    """Stack two labeled datasets with identical schemas."""
-    if a.base.columns != b.base.columns:
-        raise SchemaMismatch("cannot concat datasets with different schemas")
-    data = np.vstack([a.base.data, b.base.data])
-    labels = np.concatenate([a.labels, b.labels])
-    ds = Dataset(a.base.x_cols, a.base.y_cols, a.base.z_cols, data)
-    return LabeledDataset(ds, labels)
 
 
 # ---------------------------------------------------------------------------

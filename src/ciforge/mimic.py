@@ -92,10 +92,17 @@ def fit_reg_mimic(d2: Dataset) -> MimicModel:
         raise SchemaMismatch("mimic needs at least one y column")
     encoder = FeatureEncoder(d2.z_cols)
     zf = encoder.transform(d2.z_block())
-    center = zf.mean(axis=0)
-    scale = zf.std(axis=0)
-    scale[np.ptp(zf, axis=0) == 0] = 1.0
-    zs = (zf - center) / scale
+    # A std that underflows to 0 on distinct values, or a mean that
+    # overflows, leaves inf or NaN here; such a column is refused by name.
+    with np.errstate(all="ignore"):
+        center = zf.mean(axis=0)
+        scale = zf.std(axis=0)
+        scale[np.ptp(zf, axis=0) == 0] = 1.0
+        zs = (zf - center) / scale
+    bad = np.flatnonzero(~np.isfinite(zs).all(axis=0))
+    if bad.size:
+        name = d2.z_cols[np.repeat(np.arange(d2.n_z), encoder.widths())[bad[0]]].name
+        raise ValueError(f"z column {name!r} cannot be standardized: its spread underflows or its mean overflows")
     # Ties keep fit-fold order, and the position is a sort key even with no z.
     order = _canonical_order(zs, np.arange(d2.n_rows))
     first, cell = _row_groups(zs, order)

@@ -135,6 +135,15 @@ class TestRunBenchmark:
         assert (a.config["tester"]["seed"], b.config["tester"]["seed"]) == (5, 99)
         assert "seed" not in a.config
 
+    def test_overflowing_a_xy_refused_before_any_test(self, monkeypatch):
+        """The first H1 dataset is made before the H0 tests run, so an a_xy
+        that overflows the dependent equation costs no test."""
+        calls = []
+        monkeypatch.setattr("ciforge.bench.ci_test", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"a_xy = 1e\+308 overflows"):
+            run_benchmark(tiny_bench_config(n_h0=3, n_h1=1, n=300, a_xy=1e308))
+        assert calls == []
+
     @pytest.mark.parametrize("parallel", [0, -3, True, 2.0])
     def test_bad_parallel_rejected(self, parallel):
         with pytest.raises(ValueError, match="parallel"):

@@ -18,9 +18,8 @@ from ciforge.classify import (
     _TreeBuilder,
     classifier_error,
     fit_boosted_trees,
-    gbt_train,
 )
-from ciforge.core import Column, Dataset, LabeledDataset, derive_rng, drop_x, strip_x
+from ciforge.core import Column, Dataset, derive_rng
 from ciforge.datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
 from ciforge.errors import EmptyTest, SchemaMismatch, SingleClass
 from ciforge.testkit import TestConfig, ci_test
@@ -42,10 +41,15 @@ def weak_signal_problem(seed=0, n=800):
     return f[: n // 2], y[: n // 2], f[n // 2 :], y[n // 2 :]
 
 
-def as_labeled(f, y):
-    cols = tuple(Column(f"x_{j}") for j in range(f.shape[1] - 1))
-    ds = Dataset(cols, (Column("y_0"),), (), f)
-    return LabeledDataset(ds, y.astype(np.int8))
+def encoded_blocks(ds):
+    """(features of every column, features of the (y, z) block), as ``ci_test`` encodes them."""
+    x_free = FeatureEncoder(ds.y_cols + ds.z_cols).transform(ds.data[:, ds.n_x :])
+    return np.hstack([FeatureEncoder(ds.x_cols).transform(ds.x_block()), x_free]), x_free
+
+
+def blob_dataset(f):
+    """``f``'s last column as y and the others as x."""
+    return Dataset(tuple(Column(f"x_{j}") for j in range(f.shape[1] - 1)), (Column("y_0"),), (), f)
 
 
 def one_hot_problem(seed=42, n=900):
@@ -324,12 +328,13 @@ class TestBoostedTrees:
 
 
 class TestDatasetClassifiers:
-    def test_gbt_train_and_error(self):
+    """A fitted ensemble scores only matrices of its training width, so the
+    encoded blocks of a dataset cannot reach a model fit on other columns."""
+
+    def test_fit_and_error(self):
         f, y = blob_problem(n=900, seed=11, d=3)
-        lab = as_labeled(f, y)
-        train, val, test = lab.take(range(500)), lab.take(range(500, 700)), lab.take(range(700, 900))
-        model = gbt_train(train, val, GbtConfig(rounds=40))
-        err = classifier_error(model, test)
+        model = fit_boosted_trees(f[:500], y[:500], f[500:700], y[500:700], GbtConfig(rounds=40))
+        err = classifier_error(model, f[700:], y[700:].astype(np.int8))
         assert err.error_rate < 0.1
         assert err.n_test == 200
         assert err.error_rate == err.losses.mean()
@@ -338,73 +343,83 @@ class TestDatasetClassifiers:
         """A model trained without x scores only rows without x, so x can
         never reach its predictions."""
         f, y = blob_problem(n=300, seed=12, d=4)
-        lab = as_labeled(f, y)
-        model = gbt_train(strip_x(lab.take(range(200))), strip_x(lab.take(range(200, 300))), GbtConfig(rounds=5))
+        full, x_free = encoded_blocks(blob_dataset(f))
+        model = fit_boosted_trees(x_free[:200], y[:200], x_free[200:], y[200:], GbtConfig(rounds=5))
         with pytest.raises(SchemaMismatch):
-            model.predict_score(lab.base)
-        assert model.predict_score(drop_x(lab.base)).shape == (300,)
+            model.predict_score(full)
+        assert model.predict_score(x_free).shape == (300,)
 
     def test_changed_cardinality_raises(self):
         rng = derive_rng(12, "cardinality")
         data = np.column_stack([rng.standard_normal(300), rng.integers(0, 3, 300), rng.integers(0, 3, 300)])
         y = (data[:, 1] + data[:, 0] > 1).astype(np.float64)
-        z3 = (Column("z_0", "categorical", 3),)
-        lab = LabeledDataset(Dataset((Column("x_0"),), (Column("y_0", "categorical", 3),), z3, data), y)
-        model = gbt_train(lab.take(range(200)), lab.take(range(200, 300)), GbtConfig(rounds=5))
-        wider = Dataset(lab.base.x_cols, lab.base.y_cols, (Column("z_0", "categorical", 4),), data)
+        x, y3 = (Column("x_0"),), (Column("y_0", "categorical", 3),)
+        full, _ = encoded_blocks(Dataset(x, y3, (Column("z_0", "categorical", 3),), data))
+        model = fit_boosted_trees(full[:200], y[:200], full[200:], y[200:], GbtConfig(rounds=5))
+        wider, _ = encoded_blocks(Dataset(x, y3, (Column("z_0", "categorical", 4),), data))
         with pytest.raises(SchemaMismatch):
             model.predict_score(wider)
 
     def test_gbt_rejects_validation_set_with_other_columns(self):
         f, y = blob_problem(n=300, seed=12, d=3)
-        lab = as_labeled(f, y)
+        full, x_free = encoded_blocks(blob_dataset(f))
         with pytest.raises(SchemaMismatch):
-            gbt_train(lab.take(range(200)), strip_x(lab.take(range(200, 300))), GbtConfig(rounds=5))
+            fit_boosted_trees(full[:200], y[:200], x_free[200:], y[200:], GbtConfig(rounds=5))
 
     def test_missing_column_raises(self):
         f, y = blob_problem(n=300, seed=13, d=3)
-        lab = as_labeled(f, y)
-        model = gbt_train(lab.take(range(200)), lab.take(range(200, 300)), GbtConfig(rounds=5))
+        full, x_free = encoded_blocks(blob_dataset(f))
+        model = fit_boosted_trees(full[:200], y[:200], full[200:], y[200:], GbtConfig(rounds=5))
         with pytest.raises(SchemaMismatch):
-            model.predict_score(drop_x(lab.base))
+            model.predict_score(x_free)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["narrower", "wider"])
+    def test_other_widths_refused(self, extra):
+        """The width checks themselves, on raw matrices one column short or over."""
+        f, y = blob_problem(n=300, seed=14, d=3)
+        other = f[:, :extra] if extra < 0 else np.hstack([f, f[:, :extra]])
+        model = fit_boosted_trees(f[:200], y[:200], f[200:], y[200:], GbtConfig(rounds=3))
+        assert model.width == 3
+        with pytest.raises(SchemaMismatch, match="model was fit on 3 feature columns"):
+            model.predict_margin(other)
+        with pytest.raises(SchemaMismatch, match="validation matrix has"):
+            fit_boosted_trees(f[:200], y[:200], other[200:], y[200:], GbtConfig(rounds=3))
 
 
 class TestClassifierError:
     def test_constant_classifier_on_balanced_test(self):
         class Constant:
-            def predict_score(self, ds):
-                return np.zeros(ds.n_rows)
+            def predict_score(self, f):
+                return np.zeros(f.shape[0])
 
         f, _ = blob_problem(n=100, seed=18)
-        lab = as_labeled(f, (np.arange(100) % 2).astype(np.float64))
-        err = classifier_error(Constant(), lab)
+        err = classifier_error(Constant(), f, np.arange(100) % 2)
         assert err.error_rate == 0.5
 
     def test_perfect_classifier(self):
         class Oracle:
-            def predict_score(self, ds):
-                return (ds.y_block()[:, 0] > 0).astype(np.float64)
+            def predict_score(self, f):
+                return (f[:, 1] > 0).astype(np.float64)
 
         rng = derive_rng(19, "perfect")
         f = rng.standard_normal((50, 2))
-        y = (f[:, 1] > 0).astype(np.float64)
-        err = classifier_error(Oracle(), as_labeled(f, y))
+        y = (f[:, 1] > 0).astype(np.int8)
+        err = classifier_error(Oracle(), f, y)
         assert err.error_rate == 0.0
 
     def test_error_equals_mean_of_losses(self):
         class Half:
-            def predict_score(self, ds):
-                return (np.arange(ds.n_rows) % 3 == 0).astype(np.float64)
+            def predict_score(self, f):
+                return (np.arange(f.shape[0]) % 3 == 0).astype(np.float64)
 
         f, y = blob_problem(n=90, seed=20)
-        err = classifier_error(Half(), as_labeled(f, y))
+        err = classifier_error(Half(), f, y.astype(np.int8))
         assert err.error_rate == err.losses.astype(np.float64).mean()
 
     def test_empty_test_rejected(self):
         f, y = blob_problem(n=30, seed=21)
-        lab = as_labeled(f, y)
         with pytest.raises(EmptyTest):
-            classifier_error(object(), lab.take([]))
+            classifier_error(object(), f[:0], y[:0])
 
 
 class TestLogisticPrimitives:

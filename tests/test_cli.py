@@ -182,6 +182,24 @@ class TestTest:
         assert stdout == ""
         assert f"data row 7 (line 8), column {column!r}: 'two' is not a number" in stderr
 
+    def test_unstandardizable_z_exits_two_naming_it(self, tmp_path, capsys):
+        """A z column of 0 and 1e-200, whose std underflows to 0, is refused
+        by name rather than tested on a mimic that draws one y for every row."""
+        import numpy as np
+
+        from ciforge.core import Column, Dataset, derive_rng, write_dataset
+
+        rng = derive_rng(1, "cli-tiny-z")
+        z = np.where(rng.random(240) < 0.5, 0.0, 1e-200)
+        data = np.column_stack([rng.standard_normal(240), z > 0, z])
+        ds = Dataset((Column("x_0"),), (Column("y_0"),), (Column("z_0"),), data)
+        path = tmp_path / "tiny.csv"
+        write_dataset(ds, path)
+        code, stdout, stderr = run_cli(capsys, "test", "--data", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "z column 'z_0' cannot be standardized" in stderr
+
     def test_mixed_kind_y_runs(self, tmp_path, capsys):
         """The mimic copies y rows whole, so a y with one categorical and one
         continuous column is tested like any other; the kinds come from the

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from ciforge.core import (
     Column,
     Dataset,
-    LabeledDataset,
     derive_rng,
-    drop_x,
     read_dataset,
     read_relations,
     read_table,
     split_three_way,
-    strip_x,
     write_dataset,
 )
 from ciforge.errors import SchemaMismatch, TooFewRows
@@ -75,41 +72,6 @@ class TestSplitThreeWay:
         assert len(thirds[2]) == n // 3
 
 
-class TestStripX:
-    def test_drops_only_x(self):
-        ds = make_dataset(n=10, n_x=1, n_y=1, n_z=5)
-        labeled = LabeledDataset(ds, np.arange(10) % 2)
-        out = strip_x(labeled)
-        assert out.base.n_x == 0
-        assert out.base.n_y == 1 and out.base.n_z == 5
-        assert np.array_equal(out.labels, labeled.labels)
-        assert np.array_equal(out.base.y_block(), ds.y_block())
-        assert np.array_equal(out.base.z_block(), ds.z_block())
-
-    def test_identity_without_x(self):
-        ds = drop_x(make_dataset(n=10))
-        labeled = LabeledDataset(ds, np.ones(10, dtype=int))
-        out = strip_x(labeled)
-        assert out.base.columns == ds.columns
-        assert np.array_equal(out.base.data, ds.data)
-
-    def test_row_count_preserved(self):
-        ds = make_dataset(n=37)
-        out = strip_x(LabeledDataset(ds, np.zeros(37, dtype=int) + 1))
-        assert out.n_rows == 37
-
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=25, deadline=None)
-    def test_commutes_with_row_subsetting(self, seed):
-        ds = make_dataset(n=20, seed=seed)
-        labeled = LabeledDataset(ds, (np.arange(20) % 2).astype(int))
-        rows = derive_rng(seed, "rows").choice(20, size=7, replace=False)
-        a = strip_x(labeled).take(rows)
-        b = strip_x(labeled.take(rows))
-        assert np.array_equal(a.base.data, b.base.data)
-        assert np.array_equal(a.labels, b.labels)
-
-
 class TestDatasetValidation:
     def test_rejects_nan(self):
         data = np.zeros((3, 2))
@@ -147,13 +109,10 @@ class TestDatasetValidation:
         ds = make_dataset(n=3)
         with pytest.raises(ValueError):
             ds.take(rows)
-        with pytest.raises(ValueError):
-            LabeledDataset(ds, np.ones(3, dtype=int)).take(rows)
 
     def test_take_accepts_an_empty_list(self):
         ds = make_dataset(n=3)
         assert ds.take([]).n_rows == 0
-        assert LabeledDataset(ds, np.ones(3, dtype=int)).take([]).n_rows == 0
 
 
 class TestCsvRoundTrip:

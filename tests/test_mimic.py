@@ -1,5 +1,7 @@
 """Mimic stage: the nearest-neighbour bootstrap of the fit fold."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,21 @@ class TestFitRegMimic:
         model = fit_reg_mimic(Dataset(ds.x_cols, ds.y_cols, ds.z_cols, np.hstack([ds.x_block(), ds.y_block(), z])))
         assert model.scale[1] == 1.0 and model.center[1] == 4.0
         assert model.scale[0] == pytest.approx(ds.z_block()[:, 0].std(), rel=1e-12)
+
+    @pytest.mark.parametrize("values", [(0.0, 1e-200), (-1.5e308, 1.5e308)], ids=["std_underflows", "mean_overflows"])
+    def test_unstandardizable_z_column_refused_by_name(self, values):
+        """A z column whose std underflows to 0 on distinct values, or whose
+        mean overflows, would standardize to inf or NaN, and every held-out
+        row would then draw from cell 0; it is refused, without numpy's
+        warnings."""
+        rng = derive_rng(10, "mimic-float-limits")
+        z = np.array(values)[rng.integers(0, 2, 100)]
+        data = np.column_stack([rng.standard_normal(100), (z > 0).astype(float), rng.standard_normal(100), z])
+        ds = Dataset((Column("x_0"),), (Column("y_0"),), (Column("z_0"), Column("z_1")), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z column 'z_1' cannot be standardized"):
+                fit_reg_mimic(ds)
 
     def test_empty_z_is_one_cell(self):
         """With no z columns every fit row is in the one cell, in fit-fold order."""

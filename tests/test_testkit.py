@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciforge.classify import GbtConfig
-from ciforge.core import derive_rng
+from ciforge.core import Column, Dataset, derive_rng
 from ciforge.datagen import PostNonlinearConfig, gen_discrete_joint, gen_postnonlinear, sample_discrete
 from ciforge.errors import SchemaMismatch, TooFewRows
 from ciforge.testkit import (
@@ -120,10 +120,9 @@ class TestCiTest:
 
     def test_needs_x_and_y(self):
         ds = small_h0_dataset()
-        from ciforge.core import drop_x
-
+        x_free = Dataset((), ds.y_cols, ds.z_cols, ds.data[:, ds.n_x :])
         with pytest.raises(SchemaMismatch):
-            ci_test(drop_x(ds), TestConfig(seed=0))
+            ci_test(x_free, TestConfig(seed=0))
 
     def test_dependent_categorical_data_decides_h1(self):
         """The mimic copies fit-fold y codes, so mimicked rows share y's codes
@@ -137,8 +136,6 @@ class TestCiTest:
 
     def test_f1_error_invariant_to_x_permutation(self):
         """The no-x classifier's reported error cannot depend on x values."""
-        from ciforge.core import Dataset
-
         ds = gen_postnonlinear(PostNonlinearConfig(d_z=3, n=300, ci=True, seed=6))
         rep = ci_test(ds, TestConfig(seed=7))
         scrambled = ds.data.copy()
@@ -146,6 +143,27 @@ class TestCiTest:
         ds2 = Dataset(ds.x_cols, ds.y_cols, ds.z_cols, scrambled)
         rep2 = ci_test(ds2, TestConfig(seed=7))
         assert rep.e1 == rep2.e1
+
+    def test_f1_error_invariant_to_x_permutation_on_encoded_x(self):
+        """As above, with a one-hot x of 3 levels and an ordinal x of 40
+        codes in front of mixed z.  x's 2 columns encode to 4 features, so a
+        (y, z) block cut from one encoding of every column at offset 2 would
+        hand f1 x's last one-hot feature and the ordinal one."""
+        rng = derive_rng(8, "encoded-x")
+        n = 900
+        x_hot, x_ord = rng.integers(0, 3, n), rng.integers(0, 40, n)
+        z_c, z_cat = rng.standard_normal(n), rng.integers(0, 4, n)
+        y = z_c + 0.5 * z_cat + 2.0 * ((x_hot == 2) + x_ord / 20.0 - 1.5) + rng.standard_normal(n)
+        x_cols = (Column("x_0", "categorical", 3), Column("x_1", "categorical", 40))
+        y_cols, z_cols = (Column("y_0"),), (Column("z_0"), Column("z_1", "categorical", 4))
+        data = np.column_stack([x_hot, x_ord, y, z_c, z_cat])
+        config = TestConfig(seed=9, gbt=GbtConfig(rounds=60))
+        rep = ci_test(Dataset(x_cols, y_cols, z_cols, data), config)
+        scrambled = data.copy()
+        scrambled[:, :2] = scrambled[rng.permutation(n), :2]
+        rep2 = ci_test(Dataset(x_cols, y_cols, z_cols, scrambled), config)
+        assert rep.e1 == rep2.e1
+        assert rep.e2 != rep2.e2  # x does reach f2
 
     def test_config_validation(self):
         for removed in ("mimic", "classifier", "mlp", "logreg", "vc_dim", "mimic_config", "tau"):
