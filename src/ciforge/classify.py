@@ -1,26 +1,33 @@
 """Binary classifiers for the joint-vs-mimic discrimination step.
 
 The workhorse is a from-scratch gradient-boosted tree ensemble on logistic
-loss with second-order (Newton) leaf weights and exact greedy split search:
+loss with second-order (Newton) leaf weights and a histogram split search,
+the ``hist`` method of XGBoost (Chen and Guestrin, KDD 2016) and LightGBM
+(Ke et al., NeurIPS 2017):
 
-* candidate thresholds sit between consecutive distinct sorted values, so
-  tied feature values can never be separated and training is invariant to
-  row permutations; a threshold is the two values' midpoint, or the lower
-  value where the midpoint rounds onto the upper one or their sum
-  overflows, so a split always sends rows both ways;
-* ties in gain break toward the lowest feature index, then the lowest
-  threshold, making every fit bit-deterministic;
-* rows are argsorted once per feature.  Each node carries a (features,
-  rows) array of its rows in every feature's sorted order, and a split
-  hands each child a stable partition of it, so no node rescans rows it
-  does not own.  A node scores all features at once with row-wise cumsums.
-  The fit is bit-identical to scanning one feature at a time: a row-wise
-  cumsum adds in the same sequence as a 1-D one, node sums run over rows in
-  ascending order, and the first maximum along and then across the rows
-  keeps both tie-breaks;
-* a feature with no repeated value among all training rows has none among
-  a node's rows, so every cut of it lies between distinct values and only
-  features with repeats gather their values to find the boundaries;
+* each feature's cuts are fixed once per fit from its U distinct values
+  among the training rows: every boundary between consecutive ones when
+  U <= ``BINS``, else ``BINS - 1`` cuts at evenly spaced ranks (the upper
+  side of cut k is distinct value k*U // BINS).  A cut's threshold is its
+  two values' midpoint, or the lower value where the midpoint rounds onto
+  the upper one or their sum overflows, so each cut separates them.  A
+  feature with more than ``BINS`` values is not searched exactly: a node
+  can only split it at those cuts;
+* each row is coded once per fit by the number of a feature's cuts below
+  its value, so it goes left at cut k exactly when its code is <= k, the
+  comparison ``Tree.predict`` makes.  A node's per-bin sums of g and h and
+  its rows per bin come from one ``np.bincount`` each over its rows' codes,
+  every bin adding its rows in ascending order, and a cumsum over the bins
+  gives every cut's left sums.  Only the smaller child of a split is
+  binned: the larger one's bins are the parent's less the smaller one's, so
+  its sums can differ from direct ones in their last bits, and where two
+  cuts' gains tie up to rounding either may win.  A cut is a candidate only
+  where the node has rows on both sides, by the exact counts, so every
+  split sends rows both ways;
+* ties in gain break toward the lowest cut, then the lowest feature index.
+  The cuts, the codes and every sum depend only on the canonical row order
+  below, so every fit is bit-deterministic and invariant to row
+  permutations;
 * when every feature holds at most two distinct values (one-hot data),
   they are its minimum and maximum and the builder sorts nothing: a
   feature's one cut lies between its two values, so its threshold is fixed
@@ -32,20 +39,21 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   row-wise cumsums of its g and h with each row off the mask replaced by
   +0.0, and its few cuts are scored in a Python loop, which costs less
   than numpy's fixed cost per call; a remembered split skips the cut of its
-  node's rows.  That is bit-identical to scoring every cell: the layout is a
-  pure function of the row set; the cumsum adds the lower value's rows in
-  row order, the order of the stable sort; adding +0.0 changes no sum except
-  -0.0, whose sign a gain squares away in g and which h = c*p*(1 - p) >= +0
-  never holds; each gain is ``_gain``'s IEEE operations in the same order on
-  the same sums (Python floats are IEEE doubles, and a zero denominator,
-  which Python refuses, is divided by numpy instead, so 0/0 is still NaN and
-  x/0 inf); the first maximum over the cuts in feature order keeps both
-  tie-breaks, and a NaN gain rules out its feature's one cut.  The memo holds
+  node's rows.  That is bit-identical to a histogram scan of the node's
+  rows with its bins summed directly: the layout is a pure function of the
+  row set; the cumsum adds the lower value's rows in row order, as a bin's
+  sum does; adding +0.0 changes no sum except -0.0, whose sign a gain
+  squares away in g and which h = c*p*(1 - p) >= +0 never holds; each gain
+  is ``_gain``'s IEEE operations in the same order on the same sums
+  (Python floats are IEEE doubles, and a zero denominator, which Python
+  refuses, is divided by numpy instead, so 0/0 is still NaN and x/0 inf);
+  the first maximum over the cuts in feature order keeps both tie-breaks,
+  and a NaN gain rules out its feature's one cut.  The memo holds
   at most ``MEMO_CAP`` bytes per byte of the feature matrix; past that,
   nodes are scored as new ones and not stored.  Features with more values
   (mixture-shaped, rounded or ordinal) give new row sets round after round,
-  and there the memo cost as much as the dense search or more, so those
-  matrices take the dense search;
+  and there the memo cost as much as a dense sorted search or more, so
+  those matrices take the histogram search;
 * rows with equal features fall in the same leaf of every tree, so they
   share a margin.  ``_canonical_order`` sorts them together and
   ``_row_groups`` numbers each run (the mimic groups its z rows with the
@@ -69,12 +77,13 @@ loss with second-order (Newton) leaf weights and exact greedy split search:
   until it does not (deterministic backoff), so the per-round training-loss
   sequence is non-increasing by construction.
 
-The depth ``MAX_DEPTH``, shrinkage ``LEARNING_RATE``, leaf penalty ``L2``
-and child hessian floor ``MIN_CHILD_WEIGHT`` are constants, not config
-fields, since every caller uses one value of each; the builder reads them
-when it runs, so a test can patch them.  ``GbtConfig`` holds the round cap.
-The booster's overflow-free sigmoid ``_sigmoid`` and its mean logistic loss
-on raw margins ``_logloss`` live here too; they are the package's only ones.
+The depth ``MAX_DEPTH``, shrinkage ``LEARNING_RATE``, leaf penalty ``L2``,
+child hessian floor ``MIN_CHILD_WEIGHT`` and bin count ``BINS`` are
+constants, not config fields, since every caller uses one value of each;
+the builder reads them when it runs, so a test can patch them.
+``GbtConfig`` holds the round cap.  The booster's overflow-free sigmoid
+``_sigmoid`` and its mean logistic loss on raw margins ``_logloss`` live
+here too; they are the package's only ones.
 
 A fitted ensemble addresses its features by position, so it records the
 width of its training matrix and scores only matrices of that width: a
@@ -95,6 +104,9 @@ _GAIN_EPS = 1e-12
 #: Rounds boosted past the best validation loss before the loop stops.
 PATIENCE = 50
 MAX_DEPTH = 4
+#: Most bins per feature in the histogram split search: a feature with more
+#: distinct values gets ``BINS - 1`` cuts at evenly spaced ranks of them.
+BINS = 64
 LEARNING_RATE = 0.1
 L2 = 1.0
 MIN_CHILD_WEIGHT = 1.0
@@ -222,7 +234,7 @@ class _Layout:
 
 
 class _TreeBuilder:
-    """Exact greedy split search: node-partitioned sorted orders, or a two-valued matrix's node layouts."""
+    """Histogram split search over binned rows, or a two-valued matrix's node layouts."""
 
     def __init__(self, f: np.ndarray):
         self.f_t = np.ascontiguousarray(f.T)
@@ -235,24 +247,32 @@ class _TreeBuilder:
             # round after round: each one's layout is kept, keyed by the bytes
             # of its ascending rows.  The rows at a feature's lower value go
             # left, at a threshold fixed for the builder.
-            self.memo, self.low, self.order = {}, low, None
+            self.memo, self.low = {}, low
             self.threshold = [_threshold(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
             return
-        # Row order per feature, sorted once and shared across all rounds.
-        self.order = np.argsort(self.f_t, axis=1, kind="stable")
-        # Add to a row id to find it in f_t.ravel() under each feature.
-        self.offsets = (np.arange(f.shape[1]) * f.shape[0])[:, None]
-        # Features with a repeated value; a node's rows are a subset of all
-        # rows, so every other feature has no tie in any node.
-        ranked = np.take_along_axis(self.f_t, self.order, axis=1)
-        steps = np.count_nonzero(ranked[:, :-1] != ranked[:, 1:], axis=1)
-        self.tied = np.flatnonzero(steps < f.shape[0] - 1)
+        # Each feature's cuts: every boundary between its distinct values, or
+        # BINS - 1 of them at evenly spaced ranks.  A row's code is the number
+        # of cuts below its value, so it goes left at cut k when code <= k,
+        # that is when its value is <= the threshold, as Tree.predict routes.
+        self.cuts = []
+        codes = np.empty(self.f_t.shape, dtype=np.intp)
+        for j, v in enumerate(self.f_t):
+            u = np.unique(v).tolist()
+            upper = range(1, len(u)) if len(u) <= BINS else [k * len(u) // BINS for k in range(1, BINS)]
+            thr = np.array([_threshold(u[i - 1], u[i]) for i in upper])
+            self.cuts.append(thr)
+            codes[j] = np.searchsorted(thr, v, side="left") + j * BINS
+        #: (rows, features): feature j's codes offset by j * BINS, so one
+        #: bincount over a node's rows fills every feature's bins.
+        self.codes = np.ascontiguousarray(codes.T)
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
         nodes: list[list] = []
+        rows = np.arange(self.f_t.shape[1])
+        hist = None if self.memo is not None else self._histogram(rows, g, h)
         row_values = np.empty(self.f_t.shape[1])
-        self._grow(np.arange(self.f_t.shape[1]), self.order, 0, g, h, nodes, row_values)
+        self._grow(rows, hist, 0, g, h, nodes, row_values)
         feature, threshold, left, right, value, depth = zip(*nodes)
         tree = Tree(
             np.asarray(feature, dtype=np.int32),
@@ -264,13 +284,24 @@ class _TreeBuilder:
         )
         return tree, row_values
 
-    def _grow(self, rows, order, depth, g, h, nodes, row_values) -> int:
+    def _histogram(self, rows, g, h):
+        """(3, features * BINS): the sums of g and h and the row count in
+        every bin of every feature over ``rows``.  Each bin adds its rows in
+        ascending order."""
+        d = self.codes.shape[1]
+        idx = self.codes[rows].ravel()
+        hist = np.empty((3, d * BINS))
+        hist[0] = np.bincount(idx, np.repeat(g[rows], d), d * BINS)
+        hist[1] = np.bincount(idx, np.repeat(h[rows], d), d * BINS)
+        hist[2] = np.bincount(idx, None, d * BINS)
+        return hist
+
+    def _grow(self, rows, hist, depth, g, h, nodes, row_values) -> int:
         """Append the subtree of one node to ``nodes`` (each entry is feature,
         threshold, left, right, value, depth) and return its index.
 
-        ``order`` is the node's rows in every feature's sorted order, (d, m),
-        or None where no split search needs it: at ``MAX_DEPTH`` and on a
-        two-valued matrix.
+        ``hist`` is the node's ``_histogram``, or None where no split search
+        needs it: at ``MAX_DEPTH`` and on a two-valued matrix.
         """
         # rows stay ascending, so a node sum adds its operands in row order.
         gm, hm = g[rows], h[rows]
@@ -279,7 +310,7 @@ class _TreeBuilder:
         split = kept = None
         if depth < MAX_DEPTH and rows.size >= 2:
             if self.memo is None:
-                split = self._best_split(order, g, h, g_sum, h_sum)
+                split = self._best_split(hist, rows.size, g_sum, h_sum)
             else:
                 key = rows.tobytes()
                 layout = kept = self.memo.get(key)
@@ -297,7 +328,7 @@ class _TreeBuilder:
         j, thr = split
         nodes.append([j, thr, -1, -1, 0.0, depth])
         known = None if kept is None else kept.children.get(j)
-        order_left = order_right = None
+        hist_left = hist_right = None
         if known is not None:
             rows_left, rows_right = known
         else:
@@ -305,17 +336,19 @@ class _TreeBuilder:
             left_mask = go_left[rows]
             # (np.compress is much faster than boolean indexing here.)
             rows_left, rows_right = np.compress(left_mask, rows), np.compress(~left_mask, rows)
-            if order is not None and depth + 1 < MAX_DEPTH:  # leaves need only their rows
-                # A stable partition keeps each feature's sorted order, and
-                # every order row holds the same node rows, so each child is
-                # rectangular.
-                order_mask = go_left[order].ravel()
-                order_left = np.compress(order_mask, order).reshape(order.shape[0], rows_left.size)
-                order_right = np.compress(~order_mask, order).reshape(order.shape[0], -1)
+            if hist is not None and depth + 1 < MAX_DEPTH:  # leaves need no histogram
+                # Only the smaller child is binned; the larger one's bins are
+                # the parent's less the smaller one's.
+                if rows_left.size <= rows_right.size:
+                    hist_left = self._histogram(rows_left, g, h)
+                    hist_right = hist - hist_left
+                else:
+                    hist_right = self._histogram(rows_right, g, h)
+                    hist_left = hist - hist_right
             if kept is not None and self._reserve(rows.nbytes):
                 kept.children[j] = rows_left, rows_right
-        nodes[node][2] = self._grow(rows_left, order_left, depth + 1, g, h, nodes, row_values)
-        nodes[node][3] = self._grow(rows_right, order_right, depth + 1, g, h, nodes, row_values)
+        nodes[node][2] = self._grow(rows_left, hist_left, depth + 1, g, h, nodes, row_values)
+        nodes[node][3] = self._grow(rows_right, hist_right, depth + 1, g, h, nodes, row_values)
         return node
 
     def _reserve(self, nbytes: int) -> bool:
@@ -327,32 +360,22 @@ class _TreeBuilder:
         self.memo_bytes += nbytes
         return True
 
-    def _best_split(self, order, g, h, g_sum, h_sum):
-        """Best (feature, threshold) of one node, or None, scoring every
-        cell; ``order`` is (d, m)."""
-        # Column k is the cut between sorted positions k and k + 1; the last
-        # column has no right side.  A tie-free feature has a boundary at
-        # every cut, so only the tied ones gather their values.
-        ok = np.zeros(order.shape, dtype=bool)
-        ok[:, :-1] = True
-        tied = self.tied
-        if tied.size:
-            v = self.f_t.ravel()[order[tied] + self.offsets[tied]]
-            ok[tied, :-1] = v[:, :-1] != v[:, 1:]
-        # cumsum along a row is a sequential add, as on a 1-D array.
-        gl = g[order]
-        np.cumsum(gl, axis=1, out=gl)
-        hl = h[order]
-        np.cumsum(hl, axis=1, out=hl)
-        gain = self._gain(gl, hl, ok, g_sum, h_sum)
+    def _best_split(self, hist, m, g_sum, h_sum):
+        """Best (feature, threshold) of a node of ``m`` rows, or None, from
+        its ``_histogram``: every cut of every feature with rows on both
+        sides is scored."""
+        # Cut k of a feature has bins 0..k on its left; the last bin has no
+        # cut above it.  cumsum along a row is a sequential add, as on a 1-D
+        # array.
+        gl, hl, count = np.cumsum(hist.reshape(3, -1, BINS)[:, :, :-1], axis=2)
+        gain = self._gain(gl, hl, (count > 0) & (count < m), g_sum, h_sum)
         cut = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
         row_best = gain[np.arange(gain.shape[0]), cut]
         wins = row_best > _GAIN_EPS  # False for NaN, as the strict compare was
         if not wins.any():
             return None
         j = int(np.argmax(np.where(wins, row_best, -np.inf)))  # first max: lowest feature wins ties
-        f_j = self.f_t[j]
-        return j, _threshold(float(f_j[order[j, cut[j]]]), float(f_j[order[j, cut[j] + 1]]))
+        return j, float(self.cuts[j][cut[j]])
 
     def _boundary_split(self, layout, gm, hm, g_sum, h_sum):
         """``_best_split`` of a node of a two-valued matrix, from its layout
@@ -360,8 +383,8 @@ class _TreeBuilder:
         between its two values is scored."""
         if layout.feature.size == 0:  # every feature constant in the node
             return None
-        # The left sums add the low rows' g and h in row order, as the sorted
-        # prefix of _best_split's cumsum does; the +0.0 added for every other
+        # The left sums add the low rows' g and h in row order, as a bin of
+        # _histogram does; the +0.0 added for every other
         # row changes no sum but a -0.0, which h never holds and g's gain
         # squares away.
         gl = np.cumsum(np.where(layout.low, gm, 0.0), axis=1)[:, -1]
